@@ -11,13 +11,18 @@ import (
 // FromBytes expands data into bits, least-significant bit of each byte first,
 // which is the transmission order used by IEEE 802.11.
 func FromBytes(data []byte) []byte {
-	out := make([]byte, 0, len(data)*8)
+	return AppendFromBytes(make([]byte, 0, len(data)*8), data)
+}
+
+// AppendFromBytes is FromBytes appending to dst, the allocation-free form
+// for callers that carry a bit buffer across packets.
+func AppendFromBytes(dst, data []byte) []byte {
 	for _, b := range data {
 		for i := 0; i < 8; i++ {
-			out = append(out, (b>>i)&1)
+			dst = append(dst, (b>>i)&1)
 		}
 	}
-	return out
+	return dst
 }
 
 // ToBytes packs bits (values 0/1, LSB first per byte) into bytes.

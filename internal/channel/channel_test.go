@@ -359,3 +359,54 @@ func TestComposerPowerAccuracyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestComposerReuseMatchesFresh pins the per-Composer interpolator: one
+// Composer serving calls of varying length and emitter count (direct and
+// overlap-save filter paths alike) must reproduce a fresh Composer's output
+// bit for bit on every call — no filter history may leak between emitters
+// or calls.
+func TestComposerReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	noise := func(n int) []complex128 {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		return x
+	}
+	for _, os := range []int{2, 3, 5} {
+		offset := float64(os-1) * 10e6 // outermost offset inside the composite band
+		reused, err := NewComposer(os)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []complex128
+		for call, n := range []int{1500, 40, 700, 3, 2200, 160} {
+			emitters := []Emitter{{Samples: noise(n), PowerDBm: -60, DelaySamples: call}}
+			if call%2 == 0 {
+				emitters = append(emitters, Emitter{Samples: noise(n + 17), OffsetHz: offset, PowerDBm: -45})
+			}
+			fresh, err := NewComposer(os)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Compose(emitters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf, err = reused.ComposeInto(buf[:0], emitters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(buf) != len(want) {
+				t.Fatalf("os %d call %d: reused length %d, fresh %d", os, call, len(buf), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(real(buf[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(buf[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("os %d call %d sample %d: reused %v, fresh %v", os, call, i, buf[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -35,7 +35,9 @@ type Composer struct {
 	// NativeRateHz is the native baseband rate (20 MHz for 802.11a).
 	NativeRateHz float64
 
-	sig []complex128 // per-emitter scaling scratch
+	sig []complex128   // per-emitter scaling scratch
+	up  *dsp.Upsampler // interpolator shared by every emitter, reset per emitter
+	hi  []complex128   // interpolator output scratch
 }
 
 // NewComposer creates a composer with the given oversampling factor over a
@@ -128,12 +130,20 @@ func (c *Composer) ComposeInto(dst []complex128, emitters []Emitter) ([]complex1
 			// scaled signal is summed directly.
 			hi = sig
 		} else {
-			sig = append(sig, make([]complex128, flush)...)
-			up, err := dsp.NewUpsampler(c.Oversample, 0)
-			if err != nil {
-				return nil, err
+			// Zero the flush tail in the scratch's spare capacity (need
+			// reserved it above).
+			sig = sig[:need]
+			clear(sig[len(e.Samples):])
+			if c.up == nil || c.up.Factor() != c.Oversample {
+				up, err := dsp.NewUpsampler(c.Oversample, 0)
+				if err != nil {
+					return nil, err
+				}
+				c.up = up
 			}
-			hi = up.Process(sig)
+			c.up.Reset()
+			c.hi = c.up.ProcessInto(c.hi[:0], sig)
+			hi = c.hi
 		}
 		if e.OffsetHz != 0 {
 			osc := dsp.NewOscillator(e.OffsetHz/fs, 0)

@@ -15,10 +15,19 @@ import (
 // trips the shared budget.
 const packetRunAllocBudget = 24
 
+// lanedRunAllocBudget is the steady-state budget for one 8-packet
+// Bench.Run, which runs two full 4-packet lane groups: the count one such
+// Run made before packets ran as lanes (121 at 24 Mbit/s). The packet lanes,
+// the batched front end and the deferred batch decode all reuse
+// Bench-owned scratch, so lanes must not add allocations.
+const lanedRunAllocBudget = 121
+
 // TestPacketRunAllocBounded gates every rate's packet hot path under one
-// shared AllocsPerRun budget. Before the TransmitInto/ReuseBuffers work the
-// 6 Mbit/s path allocated ~4x the other rates (fresh per-symbol and
-// per-frame buffers); this test keeps all rates on the reuse path.
+// shared AllocsPerRun budget per packet count: one packet (a one-wide lane
+// group) and eight packets (two four-wide groups). Before the
+// TransmitInto/ReuseBuffers work the 6 Mbit/s path allocated ~4x the other
+// rates (fresh per-symbol and per-frame buffers); this test keeps all rates
+// on the reuse path.
 func TestPacketRunAllocBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("behavioral chain too slow for -short")
@@ -30,22 +39,29 @@ func TestPacketRunAllocBounded(t *testing.T) {
 		t.Skip("sync.Pool drops Puts under the race detector; the non-race alloc gate enforces this budget")
 	}
 	for _, rate := range []int{6, 24, 54} {
-		bench, err := NewBench(packetBenchConfig(rate))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Warm every reused buffer (front end, frame, scratch, receiver).
-		if _, err := bench.Run(); err != nil {
-			t.Fatal(err)
-		}
-		n := testing.AllocsPerRun(5, func() {
-			if _, err := bench.Run(); err != nil {
-				panic(err)
+		for _, c := range []struct{ packets, budget int }{
+			{1, packetRunAllocBudget},
+			{8, lanedRunAllocBudget},
+		} {
+			cfg := packetBenchConfig(rate)
+			cfg.Packets = c.packets
+			bench, err := NewBench(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		if n > packetRunAllocBudget {
-			t.Errorf("%d Mbit/s: %v allocations per packet run, budget %d — a hot-path buffer stopped being reused",
-				rate, n, packetRunAllocBudget)
+			// Warm every reused buffer (front end, frame, lanes, receivers).
+			if _, err := bench.Run(); err != nil {
+				t.Fatal(err)
+			}
+			n := testing.AllocsPerRun(5, func() {
+				if _, err := bench.Run(); err != nil {
+					panic(err)
+				}
+			})
+			if n > float64(c.budget) {
+				t.Errorf("%d Mbit/s, %d packets: %v allocations per run, budget %d — a hot-path buffer stopped being reused",
+					rate, c.packets, n, c.budget)
+			}
 		}
 	}
 }

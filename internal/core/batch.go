@@ -114,40 +114,32 @@ func RunBenchBatch(cfgs []Config) ([]*Result, error) {
 		b.noiseRNG = randutil.NewRandDirect(s)
 		b.noiseMarked = true
 		results[l] = &Result{OversampleFactor: os, FrontEnd: b.cfg.FrontEnd}
-		// Pre-build the lane's DSP receiver opted into the deferred decode:
-		// the packet loop below completes all lanes' Viterbi passes in
-		// lock-step (ignored for hard decisions, where the lane decodes
-		// eagerly and the batch completion skips it).
-		b.rx = rxdsp.NewReceiver()
-		b.rx.HardDecisions = b.cfg.HardDecisions
-		b.rx.DisableCSI = b.cfg.DisableCSI
-		b.rx.ReuseBuffers = true
-		b.rx.DeferDataDecode = true
+		// The point's single packet lane defers its DATA decode: the packet
+		// loop below completes all points' Viterbi passes in lock-step
+		// (ignored for hard decisions, where the lane decodes eagerly and
+		// the batch completion skips it).
+		b.growLanes(1, true)
 	}
 
 	waves := make([][]complex128, 0, L)
-	refs := make([][]byte, 0, L)
 	active := make([]int, 0, L)
 	pkts := make([]*rxdsp.PacketResult, 0, L)
 	rxErrs := make([]error, 0, L)
 	laneRxs := make([]*rxdsp.Receiver, 0, L)
+	var decode rxdsp.DeferredScratch
 
 	for p := 0; p < b0.cfg.Packets; p++ {
-		waves, refs, active = waves[:0], refs[:0], active[:0]
+		waves, active = waves[:0], active[:0]
 		for l, b := range benches {
 			if stopped[l] {
 				continue
 			}
-			refBits, wave, boundary, err := b.packetPrefix(p, os)
-			if err != nil {
+			ln := &b.lanes[0]
+			if err := b.packetPrefix(p, os, ln); err != nil {
 				return nil, err
 			}
-			if boundary != prefixAntenna {
-				return nil, fmt.Errorf("core: batch lane %d prefix boundary %d, want antenna", l, boundary)
-			}
-			b.addNoise(wave, os, b.noiseRNG)
-			waves = append(waves, wave)
-			refs = append(refs, refBits)
+			b.addNoise(ln.wave, os, b.noiseRNG)
+			waves = append(waves, ln.wave)
 			active = append(active, l)
 		}
 		if len(active) == 0 {
@@ -156,21 +148,23 @@ func RunBenchBatch(cfgs []Config) ([]*Result, error) {
 		basebands := batchRx.Process(waves)
 		pkts, rxErrs, laneRxs = pkts[:0], rxErrs[:0], laneRxs[:0]
 		for k, l := range active {
-			pkt, err := benches[l].receiveDSP(basebands[k], mode)
+			rx := benches[l].lanes[0].rx
+			pkt, err := benches[l].receiveDSP(rx, basebands[k], mode)
 			pkts = append(pkts, pkt)
 			rxErrs = append(rxErrs, err)
-			laneRxs = append(laneRxs, benches[l].rx)
+			laneRxs = append(laneRxs, rx)
 		}
 		// One lock-step Viterbi pass over every lane that synchronized; a
 		// lane's decode error is exactly the error its sequential Receive
 		// would have returned, so it folds into the lane outcome below.
-		derrs := rxdsp.DecodeDeferredBatch(laneRxs, pkts)
+		derrs := rxdsp.DecodeDeferredBatch(laneRxs, pkts, &decode)
 		for k, l := range active {
 			rxErr := rxErrs[k]
 			if rxErr == nil {
 				rxErr = derrs[k]
 			}
-			if benches[l].accountPacket(pkts[k], rxErr, refs[k], mode, results[l], &evms[l]) {
+			b := benches[l]
+			if b.accountPacket(pkts[k], rxErr, b.lanes[0].refBits, mode, results[l], &evms[l]) {
 				stopped[l] = true
 			}
 		}

@@ -211,20 +211,20 @@ const leadInSamples = 600
 const tailSamples = 300
 
 // Bench runs measurement scenarios. The zero value is not usable; use
-// NewBench. A Bench caches the constructed front end, transmitter, receiver
-// and channel buffers across packets and Run calls (every stateful block is
-// reset per packet, so results are identical to rebuilding them); it must
-// not be shared between goroutines.
+// NewBench. A Bench caches the constructed front end, transmitter, receivers
+// and channel buffers across packets and Run calls. Every block is reset
+// before each packet and no block carries history from one packet to the
+// next, so results are identical to rebuilding them and a packet's outcome
+// depends on its own index alone. A Bench must not be shared between
+// goroutines.
 type Bench struct {
 	cfg Config
 
 	fe       rf.FrontEnd
 	tx       *phy.Transmitter
-	rx       *rxdsp.Receiver
 	irx      *rxdsp.IdealReceiver
 	comp     *channel.Composer
 	emitters []channel.Emitter
-	antenna  []complex128
 
 	// Stage RNG streams. txRNG and chRNG are re-seeded per packet and per
 	// stage (seed.ForStage), so each stage's realization is a pure function
@@ -240,14 +240,41 @@ type Bench struct {
 	noiseRNG    *randutil.Rand
 	noiseMarked bool
 
-	// frame is the reused wanted-PPDU assembly target; scratch receives the
-	// copy-on-read clone of cached waveforms before mutation.
+	// frame is the reused wanted-PPDU assembly target; gotBits receives
+	// each decoded PSDU's bits for the error count.
 	frame   phy.Frame
-	scratch []complex128
+	gotBits []byte
+
+	// Packet lanes (see Run): each lane's waveform buffer and DSP receiver,
+	// the batched front end, and the per-group slices handed to it and to
+	// the deferred decode — all reused across groups and Run calls.
+	lanes   []packetLane
+	batchFE *rf.BatchReceiver
+	waves   [][]complex128
+	rxs     []*rxdsp.Receiver
+	pkts    []*rxdsp.PacketResult
+	decode  rxdsp.DeferredScratch
+	// laneWidth overrides packetLanes when positive. It exists for the
+	// lane-width invariance tests only.
+	laneWidth int
 
 	// keyContent caches the content-key fold of the invariant configuration
 	// (one kind/noise combination per Bench, so one fold suffices).
 	keyContent uint64
+}
+
+// packetLanes is how many consecutive packets of one Run go through the
+// behavioral front end and the Viterbi decoder in lock-step. Four lanes
+// overlap the latency-bound AGC, biquad and trellis recurrences while the
+// lane working set stays a few frames.
+const packetLanes = 4
+
+// packetLane is one packet slot of a Run group.
+type packetLane struct {
+	wave    []complex128    // the packet's waveform at the prefix boundary
+	refBits []byte          // the packet's reference payload bits
+	rx      *rxdsp.Receiver // the lane's DSP receiver (nil with ideal RX timing)
+	rxErr   error           // the lane's Receive error
 }
 
 // NewBench validates the scenario.
@@ -558,75 +585,85 @@ const (
 	prefixBaseband
 )
 
-// packetPrefix produces packet p's waveform at the prefix boundary along
-// with its reference payload bits, serving the invariant prefix from the
-// cache when one is attached. The returned boundary tells Run which pipeline
-// suffix still has to execute; the waveform is safe to mutate (cache hits are
-// copied out).
-func (b *Bench) packetPrefix(p, os int) (refBits []byte, wave []complex128, boundary prefixBoundary, err error) {
-	cloneWave := func(e *stageEntry) []complex128 {
-		b.scratch = append(b.scratch[:0], e.wave...)
-		return b.scratch
-	}
-	rxFE, behavioral := b.fe.(*rf.Receiver)
+// boundary reports where the scenario's packet prefixes end. Like the
+// predicates it combines, it depends on configuration alone.
+func (b *Bench) boundary(os int) prefixBoundary {
 	switch {
 	case b.noiseAfterFrontEnd(os):
-		// Baseband prefix: TX + channel + identity front end, noiseless.
-		v, err := b.cfg.Cache.GetOrCompute(b.stageKey(cacheKindBaseband, p, os, false),
+		return prefixBaseband
+	case b.preFilterPrefix():
+		return prefixPreFilter
+	default:
+		return prefixAntenna
+	}
+}
+
+// groupWidth is the number of consecutive packets Run pushes through the
+// front end and the Viterbi decoder together. Only antenna-boundary packets
+// on the behavioral front end batch (rf.BatchReceiver); every other boundary
+// and front end runs one packet per group.
+func (b *Bench) groupWidth(boundary prefixBoundary) int {
+	switch {
+	case boundary != prefixAntenna || b.cfg.FrontEnd != FrontEndBehavioral:
+		return 1
+	case b.laneWidth > 0:
+		return b.laneWidth
+	default:
+		return packetLanes
+	}
+}
+
+// packetPrefix produces packet p's waveform at the prefix boundary along
+// with its reference payload bits into lane ln, serving the invariant prefix
+// from the cache when one is attached. Both are written over the lane's own
+// storage (grown if short) and are safe to mutate: cache hits are copied
+// out.
+func (b *Bench) packetPrefix(p, os int, ln *packetLane) error {
+	cached := func(kind uint8, withNoise bool, finish func(e *stageEntry)) error {
+		v, err := b.cfg.Cache.GetOrCompute(b.stageKey(kind, p, os, withNoise),
 			func() (any, int64, error) {
-				e, err := b.fullPrefix(p, os, false)
+				e, err := b.fullPrefix(p, os, withNoise)
 				if err != nil {
 					return nil, 0, err
 				}
-				b.fe.Reset()
-				e.wave = append([]complex128(nil), b.fe.Process(e.wave)...)
+				if finish != nil {
+					finish(e)
+				}
 				return e, e.sizeBytes(), nil
 			})
 		if err != nil {
-			return nil, nil, prefixAntenna, err
+			return err
 		}
 		e := v.(*stageEntry)
-		return e.refBits, cloneWave(e), prefixBaseband, nil
+		ln.refBits = append(ln.refBits[:0], e.refBits...)
+		ln.wave = append(ln.wave[:0], e.wave...)
+		return nil
+	}
+	switch b.boundary(os) {
+	case prefixBaseband:
+		// Baseband prefix: TX + channel + identity front end, noiseless.
+		return cached(cacheKindBaseband, false, func(e *stageEntry) {
+			b.fe.Reset()
+			e.wave = append([]complex128(nil), b.fe.Process(e.wave)...)
+		})
 
-	case b.preFilterPrefix() && behavioral:
+	case prefixPreFilter:
 		// Pre-filter prefix: TX + channel (+ invariant noise) + the front-end
 		// segment upstream of the channel-select filter. Bit-exact because
 		// Receiver.Process is ProcessToFilter∘ProcessFromFilter and every
 		// front-end noise/LO stream restarts per packet from fixed seeds.
-		withNoise := b.cfg.ChannelSNRdB != nil
-		v, err := b.cfg.Cache.GetOrCompute(b.stageKey(cacheKindPreFilter, p, os, withNoise),
-			func() (any, int64, error) {
-				e, err := b.fullPrefix(p, os, withNoise)
-				if err != nil {
-					return nil, 0, err
-				}
-				rxFE.Reset()
-				e.wave = rxFE.ProcessToFilter(e.wave)
-				return e, e.sizeBytes(), nil
-			})
-		if err != nil {
-			return nil, nil, prefixAntenna, err
-		}
-		e := v.(*stageEntry)
-		return e.refBits, cloneWave(e), prefixPreFilter, nil
+		rx := b.fe.(*rf.Receiver)
+		return cached(cacheKindPreFilter, b.cfg.ChannelSNRdB != nil, func(e *stageEntry) {
+			rx.Reset()
+			e.wave = rx.ProcessToFilter(e.wave)
+		})
+	}
 
+	switch {
 	case b.cfg.SweptStage >= StageNoise:
 		// Antenna prefix: TX + channel, including the noise only when it is
 		// invariant too (front-end sweeps with an explicit channel SNR).
-		withNoise := b.cfg.ChannelSNRdB != nil && !b.suffixNoise()
-		v, err := b.cfg.Cache.GetOrCompute(b.stageKey(cacheKindAntenna, p, os, withNoise),
-			func() (any, int64, error) {
-				e, err := b.fullPrefix(p, os, withNoise)
-				if err != nil {
-					return nil, 0, err
-				}
-				return e, e.sizeBytes(), nil
-			})
-		if err != nil {
-			return nil, nil, prefixAntenna, err
-		}
-		e := v.(*stageEntry)
-		return e.refBits, cloneWave(e), prefixAntenna, nil
+		return cached(cacheKindAntenna, b.cfg.ChannelSNRdB != nil && !b.suffixNoise(), nil)
 
 	case b.cfg.SweptStage == StageChannel:
 		// TX prefix only: the channel is swept, the frame is not.
@@ -643,32 +680,34 @@ func (b *Bench) packetPrefix(p, os int) (refBits []byte, wave []complex128, boun
 				return e, e.sizeBytes(), nil
 			})
 		if err != nil {
-			return nil, nil, prefixAntenna, err
+			return err
 		}
 		e := v.(*stageEntry)
 		// The composer only reads emitter samples, so the cached frame
 		// waveform is aliased, not copied.
 		txFrame := phy.Frame{Samples: e.wave}
-		x, err := b.composeChannel(b.antenna[:0], &txFrame, os, p)
+		x, err := b.composeChannel(ln.wave[:0], &txFrame, os, p)
 		if err != nil {
-			return nil, nil, prefixAntenna, err
+			return err
 		}
-		b.antenna = x
-		return e.refBits, x, prefixAntenna, nil
+		ln.refBits = append(ln.refBits[:0], e.refBits...)
+		ln.wave = x
+		return nil
 
 	default:
 		// Everything depends on the swept parameter (or no sweep at all):
-		// run the full chain into the bench's reused antenna buffer.
+		// run the full chain into the lane.
 		psdu, frame, err := b.synthTX(p)
 		if err != nil {
-			return nil, nil, prefixAntenna, err
+			return err
 		}
-		x, err := b.composeChannel(b.antenna[:0], frame, os, p)
+		x, err := b.composeChannel(ln.wave[:0], frame, os, p)
 		if err != nil {
-			return nil, nil, prefixAntenna, err
+			return err
 		}
-		b.antenna = x
-		return bits.FromBytes(psdu), x, prefixAntenna, nil
+		ln.refBits = bits.AppendFromBytes(ln.refBits[:0], psdu)
+		ln.wave = x
+		return nil
 	}
 }
 
@@ -676,6 +715,15 @@ func (b *Bench) packetPrefix(p, os int) (refBits []byte, wave []complex128, boun
 // statistics. The pipeline is the five-stage chain documented on Stage; each
 // packet's prefix (the stages before Config.SweptStage) may be served from
 // Config.Cache, with identical results either way.
+//
+// Packets run in groups of consecutive packets, one lane each (groupWidth:
+// up to packetLanes at the behavioral antenna boundary, one elsewhere). A
+// group produces every lane's prefix and suffix noise in packet order, runs
+// the front end once for all lanes (rf.BatchReceiver), equalizes each lane
+// on its own DSP receiver and decodes the lanes' DATA fields in one
+// lock-step Viterbi pass (rxdsp.DecodeDeferredBatch). Outcomes are counted
+// in packet order and the lanes after a TargetErrors stop are dropped, so
+// the Result is bit-identical for every group width.
 func (b *Bench) Run() (*Result, error) {
 	os := b.oversample()
 	if b.fe == nil {
@@ -685,7 +733,6 @@ func (b *Bench) Run() (*Result, error) {
 		}
 		b.fe = fe
 	}
-	fe := b.fe
 	mode, err := phy.ModeByRate(b.cfg.RateMbps)
 	if err != nil {
 		return nil, err
@@ -715,43 +762,103 @@ func (b *Bench) Run() (*Result, error) {
 		}
 		b.noiseRNG.Rewind()
 	}
+	boundary := b.boundary(os)
+	width := min(b.groupWidth(boundary), b.cfg.Packets)
+	b.growLanes(width, width > 1)
 	res := &Result{OversampleFactor: os, FrontEnd: b.cfg.FrontEnd}
 	var evm evmAccum
 
-	for p := 0; p < b.cfg.Packets; p++ {
-		refBits, wave, boundary, err := b.packetPrefix(p, os)
-		if err != nil {
-			return nil, err
-		}
-		var baseband []complex128
-		switch boundary {
-		case prefixBaseband:
-			// SNR-sweep fast path: wave is the noiseless post-front-end
-			// baseband; only the noise is re-drawn per point.
-			b.addNoise(wave, os, b.noiseRNG)
-			baseband = wave
-		case prefixPreFilter:
-			// Filter-sweep fast path: wave already passed the pre-filter
-			// front-end segment; only the channel-select filter and the
-			// blocks after it run per point. Reset restores every block, but
-			// the pre-filter ones are simply not used again this packet.
-			rx := fe.(*rf.Receiver)
-			rx.Reset()
-			baseband = rx.ProcessFromFilter(wave)
-		default:
-			if suffixNoise {
-				b.addNoise(wave, os, b.noiseRNG)
+packets:
+	for p := 0; p < b.cfg.Packets; p += width {
+		lanes := b.lanes[:min(width, b.cfg.Packets-p)]
+		waves := b.waves[:len(lanes)]
+		for k := range lanes {
+			ln := &lanes[k]
+			if err := b.packetPrefix(p+k, os, ln); err != nil {
+				return nil, err
 			}
-			fe.Reset()
-			baseband = fe.Process(wave)
+			if suffixNoise {
+				b.addNoise(ln.wave, os, b.noiseRNG)
+			}
+			waves[k] = ln.wave
 		}
+		basebands := b.frontEnd(waves, boundary)
 
-		if b.receivePacket(baseband, refBits, mode, res, &evm) {
-			break
+		pkts := b.pkts[:len(lanes)]
+		for k := range lanes {
+			pkts[k], lanes[k].rxErr = b.receiveDSP(lanes[k].rx, basebands[k], mode)
+		}
+		// One lock-step Viterbi pass over every deferred lane; a lane's
+		// decode error is exactly the error its eager Receive would have
+		// returned. Eagerly decoded lanes are skipped.
+		derrs := rxdsp.DecodeDeferredBatch(b.rxs[:len(lanes)], pkts, &b.decode)
+		for k := range lanes {
+			rxErr := lanes[k].rxErr
+			if rxErr == nil {
+				rxErr = derrs[k]
+			}
+			if b.accountPacket(pkts[k], rxErr, lanes[k].refBits, mode, res, &evm) {
+				break packets
+			}
 		}
 	}
 	evm.finish(res)
 	return res, nil
+}
+
+// growLanes readies the first width packet lanes. Buffers and receivers
+// persist across Runs; deferData selects whether the lanes' receivers leave
+// the DATA decode to the group's lock-step Viterbi pass.
+func (b *Bench) growLanes(width int, deferData bool) {
+	for len(b.lanes) < width {
+		var rx *rxdsp.Receiver
+		if !b.cfg.UseIdealRxTiming {
+			rx = rxdsp.NewReceiver()
+			rx.HardDecisions = b.cfg.HardDecisions
+			rx.DisableCSI = b.cfg.DisableCSI
+			rx.ReuseBuffers = true
+		}
+		b.lanes = append(b.lanes, packetLane{rx: rx})
+		b.rxs = append(b.rxs, rx)
+		b.waves = append(b.waves, nil)
+		b.pkts = append(b.pkts, nil)
+	}
+	for _, rx := range b.rxs {
+		if rx != nil {
+			rx.DeferDataDecode = deferData
+		}
+	}
+}
+
+// frontEnd runs the front-end suffix that follows the prefix boundary over
+// one group's waveforms and returns the per-lane basebands. A group of
+// several lanes is behavioral at the antenna boundary (groupWidth) and runs
+// the batched front end; a single lane runs the sequential one, which is a
+// few percent faster than the batch driver at one lane.
+func (b *Bench) frontEnd(waves [][]complex128, boundary prefixBoundary) [][]complex128 {
+	if len(waves) > 1 {
+		if b.batchFE == nil {
+			b.batchFE = rf.NewBatchReceiver(b.fe.(*rf.Receiver))
+		}
+		return b.batchFE.Process(waves)
+	}
+	switch boundary {
+	case prefixBaseband:
+		// SNR-sweep fast path: the wave is the noiseless post-front-end
+		// baseband plus the noise just drawn.
+	case prefixPreFilter:
+		// Filter-sweep fast path: the wave already passed the pre-filter
+		// front-end segment; only the channel-select filter and the blocks
+		// after it run per point. Reset restores every block, but the
+		// pre-filter ones are simply not used again this packet.
+		rx := b.fe.(*rf.Receiver)
+		rx.Reset()
+		waves[0] = rx.ProcessFromFilter(waves[0])
+	default:
+		b.fe.Reset()
+		waves[0] = b.fe.Process(waves[0])
+	}
+	return waves
 }
 
 // evmAccum accumulates per-packet decision-directed EVM measurements across
@@ -770,33 +877,17 @@ func (e *evmAccum) finish(res *Result) {
 	}
 }
 
-// receivePacket runs the DSP receiver over one packet's baseband and folds
-// the outcome (errors, loss, EVM) into res/evm. It reports whether
-// TargetErrors stops the run. Shared by the sequential Run loop and the
-// batched sweep runner so both paths count packets identically.
-func (b *Bench) receivePacket(baseband []complex128, refBits []byte, mode phy.Mode, res *Result, evm *evmAccum) bool {
-	pkt, rxErr := b.receiveDSP(baseband, mode)
-	return b.accountPacket(pkt, rxErr, refBits, mode, res, evm)
-}
-
-// receiveDSP runs the configured DSP receiver over one packet's baseband,
-// creating it lazily on first use (RunBenchBatch pre-creates it to opt the
-// lanes into the deferred-decode batch path).
-func (b *Bench) receiveDSP(baseband []complex128, mode phy.Mode) (*rxdsp.PacketResult, error) {
+// receiveDSP runs the DSP receiver over one packet's baseband: rx, or the
+// genie-timed ideal receiver when the scenario asks for it.
+func (b *Bench) receiveDSP(rx *rxdsp.Receiver, baseband []complex128, mode phy.Mode) (*rxdsp.PacketResult, error) {
 	if b.cfg.UseIdealRxTiming {
 		if b.irx == nil {
 			b.irx = &rxdsp.IdealReceiver{Mode: mode, PSDULen: b.cfg.PSDULen, ReuseBuffers: true}
 		}
 		return b.irx.Receive(baseband, leadInSamples)
 	}
-	if b.rx == nil {
-		b.rx = rxdsp.NewReceiver()
-		b.rx.HardDecisions = b.cfg.HardDecisions
-		b.rx.DisableCSI = b.cfg.DisableCSI
-		b.rx.ReuseBuffers = true
-	}
-	b.rx.Reset()
-	return b.rx.Receive(baseband, 0)
+	rx.Reset()
+	return rx.Receive(baseband, 0)
 }
 
 // accountPacket folds one packet's receive outcome into the result and EVM
@@ -806,7 +897,8 @@ func (b *Bench) accountPacket(pkt *rxdsp.PacketResult, rxErr error, refBits []by
 		res.Counter.AddLostPacket(len(refBits))
 		return b.cfg.TargetErrors > 0 && res.Counter.Errors >= b.cfg.TargetErrors
 	}
-	res.Counter.AddPacket(refBits, bits.FromBytes(pkt.PSDU))
+	b.gotBits = bits.AppendFromBytes(b.gotBits[:0], pkt.PSDU)
+	res.Counter.AddPacket(refBits, b.gotBits)
 	if ev, err := measure.EVM(pkt.EqualizedCarriers, mode.Modulation); err == nil {
 		evm.acc += ev.RMS * ev.RMS * float64(ev.Symbols)
 		evm.symbols += ev.Symbols

@@ -91,20 +91,7 @@ func FilterBandwidthSweep(base Config, edgesHz []float64) (*measure.Series, erro
 		Workers:     base.Workers,
 		OnPointDone: base.OnSweepPoint,
 		RunPoint: func(edge float64) (measure.Point, error) {
-			cfg := base
-			cfg.Seed = seed.ForPoint(base.Seed, edge)
-			cfg.ContentSeed = base.Seed
-			cfg.SweptStage = StageFrontEnd
-			cfg.SweptFrontEndFilterOnly = true
-			cfg.Cache = cache
-			prev := base.TuneRF
-			cfg.TuneRF = func(rc *rf.ReceiverConfig) {
-				if prev != nil {
-					prev(rc)
-				}
-				rc.ChannelFilterEdgeHz = edge
-			}
-			return runBERPoint(cfg)
+			return runBERPoint(filterBandwidthPoint(base, edge, cache))
 		},
 	}
 	series, err := sweep.Execute()
@@ -119,6 +106,26 @@ func FilterBandwidthSweep(base Config, edgesHz []float64) (*measure.Series, erro
 		series.Cache = cache.Stats()
 	}
 	return series, nil
+}
+
+// filterBandwidthPoint configures one FilterBandwidthSweep point: the
+// channel-select passband edge at edgeHz, with the pre-filter front end
+// cached across the sweep's points.
+func filterBandwidthPoint(base Config, edgeHz float64, cache *sim.StageCache) Config {
+	cfg := base
+	cfg.Seed = seed.ForPoint(base.Seed, edgeHz)
+	cfg.ContentSeed = base.Seed
+	cfg.SweptStage = StageFrontEnd
+	cfg.SweptFrontEndFilterOnly = true
+	cfg.Cache = cache
+	prev := base.TuneRF
+	cfg.TuneRF = func(rc *rf.ReceiverConfig) {
+		if prev != nil {
+			prev(rc)
+		}
+		rc.ChannelFilterEdgeHz = edgeHz
+	}
+	return cfg
 }
 
 // Figure6Config returns the scenario behind Figure 6: BER versus the first
@@ -152,26 +159,7 @@ func CompressionPointSweep(base Config, compressionDBm []float64, withAdjacent b
 		Workers:     base.Workers,
 		OnPointDone: base.OnSweepPoint,
 		RunPoint: func(cp float64) (measure.Point, error) {
-			cfg := base
-			cfg.Seed = seed.ForPoint(base.Seed, cp)
-			cfg.ContentSeed = base.Seed
-			cfg.SweptStage = StageFrontEnd
-			cfg.Cache = cache
-			if withAdjacent {
-				cfg.Interferers = []InterfererSpec{AdjacentChannelSpec(cfg.WantedPowerDBm)}
-			} else {
-				cfg.Interferers = nil
-			}
-			prev := base.TuneRF
-			cfg.TuneRF = func(rc *rf.ReceiverConfig) {
-				if prev != nil {
-					prev(rc)
-				}
-				rc.LNA.Model = rf.Cubic
-				rc.LNA.UseCompression = true
-				rc.LNA.CompressionDBm = cp
-			}
-			return runBERPoint(cfg)
+			return runBERPoint(compressionPoint(base, cp, withAdjacent, cache))
 		},
 	}
 	series, err := sweep.Execute()
@@ -182,6 +170,32 @@ func CompressionPointSweep(base Config, compressionDBm []float64, withAdjacent b
 		series.Cache = cache.Stats()
 	}
 	return series, nil
+}
+
+// compressionPoint configures one CompressionPointSweep point: the first
+// LNA's input 1 dB compression point at cp dBm, the antenna prefix cached
+// across the sweep's points.
+func compressionPoint(base Config, cp float64, withAdjacent bool, cache *sim.StageCache) Config {
+	cfg := base
+	cfg.Seed = seed.ForPoint(base.Seed, cp)
+	cfg.ContentSeed = base.Seed
+	cfg.SweptStage = StageFrontEnd
+	cfg.Cache = cache
+	if withAdjacent {
+		cfg.Interferers = []InterfererSpec{AdjacentChannelSpec(cfg.WantedPowerDBm)}
+	} else {
+		cfg.Interferers = nil
+	}
+	prev := base.TuneRF
+	cfg.TuneRF = func(rc *rf.ReceiverConfig) {
+		if prev != nil {
+			prev(rc)
+		}
+		rc.LNA.Model = rf.Cubic
+		rc.LNA.UseCompression = true
+		rc.LNA.CompressionDBm = cp
+	}
+	return cfg
 }
 
 // IP3Sweep measures BER versus the LNA's input-referred IP3 (dBm), the

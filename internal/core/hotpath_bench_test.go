@@ -44,6 +44,31 @@ func BenchmarkPacketBehavioral6(b *testing.B)  { runPacketBench(b, 6) }
 func BenchmarkPacketBehavioral24(b *testing.B) { runPacketBench(b, 24) }
 func BenchmarkPacketBehavioral54(b *testing.B) { runPacketBench(b, 54) }
 
+// BenchmarkRun8PacketsBehavioral24 runs an 8-packet point of the packet
+// scenario per op — two full 4-packet lane groups through the batched front
+// end and Viterbi — and reports ns per packet alongside ns/op. The single-
+// packet benchmarks above run one width-1 group and never engage the lanes.
+func BenchmarkRun8PacketsBehavioral24(b *testing.B) {
+	cfg := packetBenchConfig(24)
+	cfg.Packets = 8
+	bench, err := NewBench(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := bench.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Counter.Packets != cfg.Packets {
+			b.Fatalf("simulated %d packets, want %d", res.Counter.Packets, cfg.Packets)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Packets), "ns/packet")
+}
+
 // BenchmarkSweepExecutor measures the parallel sweep engine end to end on a
 // cheap ideal-front-end waterfall (3 SNR points, 1 packet each, 4 workers):
 // the per-point dispatch/collect overhead plus the hot packet chain.

@@ -37,14 +37,16 @@ type olsConv struct {
 
 // newOLSConv builds the overlap-save engine for the given taps. The FFT size
 // is the smallest power of two ≥ 4×taps (and ≥ 128), keeping ≥ 3/4 of each
-// transform as fresh output.
+// transform as fresh output. The plan comes from the shared PlanFor cache:
+// plans are safe for concurrent use, so every engine of one size shares one
+// twiddle table and one scratch pool.
 func newOLSConv(taps []complex128) *olsConv {
 	t := len(taps)
 	n := 128
 	for n < 4*t {
 		n <<= 1
 	}
-	plan, err := NewFFTPlan(n)
+	plan, err := PlanFor(n)
 	if err != nil {
 		panic(err) // unreachable: n is a power of two by construction
 	}

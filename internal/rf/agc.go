@@ -110,11 +110,13 @@ func (a *AGC) GainDB() float64 { return a.gainDB }
 // SetFreeze holds (true) or releases (false) the gain.
 func (a *AGC) SetFreeze(f bool) { a.cfg.Freeze = f }
 
-// Reset restores the initial gain and estimator.
+// Reset restores the initial gain, estimator and resync counter, so a frame's
+// output depends on that frame alone, never on what the loop saw before.
 func (a *AGC) Reset() {
 	a.gainDB = clamp(a.cfg.InitialGainDB, a.cfg.MinGainDB, a.cfg.MaxGainDB)
 	a.gainLin = units.DBToVoltageGain(a.gainDB)
 	a.est = units.DBmToWatts(a.cfg.TargetDBm)
+	a.resync = 0
 }
 
 // ProcessSample amplifies one sample and updates the loop.

@@ -8,11 +8,13 @@ import (
 	"wlansim/internal/units"
 )
 
-// The batched front end runs B equal-length antenna frames — equal-config
-// sweep points that differ only in their additive channel noise — through
-// the behavioral receiver in lock-step. Exactness is the contract: lane b is
-// bit-identical to Reset + Process on the sequential receiver, which the
-// differential front-end test pins frame for frame.
+// The batched front end runs B equal-length antenna frames — consecutive
+// packets of one point, or equal-config sweep points that differ only in
+// their additive channel noise — through the behavioral receiver in
+// lock-step. Exactness is the contract: lane b is bit-identical to Reset +
+// Process on the sequential receiver, which the differential front-end test
+// pins frame for frame. Reset restores every block completely, so a lane's
+// output depends on its own frame alone.
 //
 // The batch wins come from three places, none of which changes a bit:
 //
@@ -26,10 +28,9 @@ import (
 //   - The mixer's planar frame pass amortizes its LO planes across lanes
 //     via kernels.MixApplyLOBatch.
 
-// agcBatchState carries the per-lane AGC loop state. Only resync survives
-// across packets (AGC.Reset deliberately preserves it; see
-// agcResyncInterval); the gain and estimator lanes are scratch reinitialized
-// from the Reset values at the top of every batch.
+// agcBatchState holds the per-lane AGC loop state. Every lane starts from
+// the Reset values at the top of every batch, exactly as a sequential
+// packet starts from AGC.Reset.
 type agcBatchState struct {
 	resync  []int
 	gainLin []float64
@@ -49,18 +50,16 @@ func (a *AGC) processBatch(lanes [][]complex128, st *agcBatchState) {
 	if a.cfg.Freeze {
 		// Frozen gain has no recurrence; the scalar per-lane pass is already
 		// throughput-bound.
-		for l, lane := range lanes {
+		for _, lane := range lanes {
 			a.Reset()
-			a.resync = st.resync[l]
 			a.Process(lane)
-			st.resync[l] = a.resync
 		}
 		return
 	}
 	L := len(lanes)
 	n := len(lanes[0])
-	// Per-lane Reset: the same three assignments AGC.Reset performs, fanned
-	// across the state lanes; resync is carried from the previous packet.
+	// Per-lane Reset: the same assignments AGC.Reset performs, fanned across
+	// the state lanes.
 	g0 := clamp(a.cfg.InitialGainDB, a.cfg.MinGainDB, a.cfg.MaxGainDB)
 	lin0 := units.DBToVoltageGain(g0)
 	est0 := units.DBmToWatts(a.cfg.TargetDBm)
@@ -70,6 +69,7 @@ func (a *AGC) processBatch(lanes [][]complex128, st *agcBatchState) {
 		gainDB[l] = g0
 		gainLin[l] = lin0
 		est[l] = est0
+		resync[l] = 0
 	}
 	var (
 		alpha   = a.alpha
@@ -153,11 +153,11 @@ func (a *Amplifier) processBatch(lanes [][]complex128, nre, nim []float64) {
 	}
 }
 
-// processBatchPlanar mixes B planar lanes in place: one materialized noise
-// plane added component-wise (the same float adds the scalar path's complex
-// add performs), one LO trajectory fill, then the planar batch kernel over
-// all lanes.
-func (m *Mixer) processBatchPlanar(xr, xi [][]float64, nre, nim []float64) {
+// processBatchPlanar mixes one block of B planar lanes in place: one
+// materialized noise plane added component-wise (the same float adds the
+// scalar path's complex add performs), then the planar batch kernel over all
+// lanes against the frame's LO trajectory from sample off on (see frameLO).
+func (m *Mixer) processBatchPlanar(xr, xi [][]float64, nre, nim []float64, off int) {
 	n := len(xr[0])
 	if n == 0 {
 		return
@@ -177,32 +177,34 @@ func (m *Mixer) processBatchPlanar(xr, xi [][]float64, nre, nim []float64) {
 	nur, nui := real(m.nu), imag(m.nu)
 	dcr, dci := real(m.dc), imag(m.dc)
 	if m.lo != nil {
-		if m.loFilled && m.lov.Len() == n {
-			m.loFilled = false
-		} else {
-			m.lov.Grow(n)
-			m.lo.fill(m.lov.Re, m.lov.Im)
-		}
-		kernels.MixApplyLOBatch(xr, xi, m.lov.Re, m.lov.Im,
+		kernels.MixApplyLOBatch(xr, xi, m.lov.Re[off:off+n], m.lov.Im[off:off+n],
 			mur, mui, nur, nui, m.g, dcr, dci)
 	} else {
 		kernels.MixApplyBatch(xr, xi, mur, mui, nur, nui, m.g, dcr, dci)
 	}
 }
 
+// batchBlock is the sample block the batch front end streams its
+// LNA-to-channel-filter segment through. Every block there is a sample-wise
+// map or a recurrence whose state carries across calls, and each noise
+// stream is drawn strictly in sample order, so streaming changes no bit; it
+// keeps the per-lane planar scratch a block wide instead of a frame wide.
+const batchBlock = 1024
+
 // BatchReceiver wraps a Receiver with lane-parallel scratch so equal-config
 // antenna frames can run the whole front end in lock-step. Each Process
 // call is one packet across B lanes: it resets the underlying receiver
 // (restarting every fixed-seed stochastic stream once for the batch) and
-// produces per-lane baseband owned by the batch receiver.
+// produces each lane's baseband in that lane's own storage.
 type BatchReceiver struct {
 	rx *Receiver
 
-	nre, nim []float64   // shared per-batch noise plane scratch
-	xr, xi   [][]float64 // per-lane planar scratch for the mixer pass
+	nre, nim []float64      // shared per-block noise plane scratch
+	xr, xi   [][]float64    // per-lane planar block scratch for the mixer pass
+	blk      [][]complex128 // per-lane views of the current block
 	dcb, chs *dsp.IIRBatch
 	agc      agcBatchState
-	outs     [][]complex128 // per-lane decimator outputs, reused
+	outs     [][]complex128 // per-lane basebands, aliasing the input lanes
 }
 
 // NewBatchReceiver builds the lane-parallel driver for rx. The receiver
@@ -218,46 +220,34 @@ func NewBatchReceiver(rx *Receiver) *BatchReceiver {
 	return b
 }
 
-func (b *BatchReceiver) grow(lanes, n int) {
-	if cap(b.nre) < n {
-		b.nre = make([]float64, n)
-		b.nim = make([]float64, n)
+func (b *BatchReceiver) grow(lanes int) {
+	if b.nre == nil {
+		b.nre = make([]float64, batchBlock)
+		b.nim = make([]float64, batchBlock)
 	}
-	b.nre, b.nim = b.nre[:n], b.nim[:n]
 	if len(b.xr) < lanes {
-		xr := make([][]float64, lanes)
-		xi := make([][]float64, lanes)
-		copy(xr, b.xr)
-		copy(xi, b.xi)
-		b.xr, b.xi = xr, xi
-		outs := make([][]complex128, lanes)
-		copy(outs, b.outs)
-		b.outs = outs
-		resync := make([]int, lanes)
-		copy(resync, b.agc.resync)
-		b.agc.resync = resync
+		b.xr = make([][]float64, lanes)
+		b.xi = make([][]float64, lanes)
+		for l := range b.xr {
+			b.xr[l] = make([]float64, batchBlock)
+			b.xi[l] = make([]float64, batchBlock)
+		}
+		b.blk = make([][]complex128, lanes)
+		b.outs = make([][]complex128, lanes)
+		b.agc.resync = make([]int, lanes)
 		b.agc.gainLin = make([]float64, lanes)
 		b.agc.gainDB = make([]float64, lanes)
 		b.agc.est = make([]float64, lanes)
-	}
-	for l := 0; l < lanes; l++ {
-		if cap(b.xr[l]) < n {
-			b.xr[l] = make([]float64, n)
-			b.xi[l] = make([]float64, n)
-		}
-		b.xr[l] = b.xr[l][:n]
-		b.xi[l] = b.xi[l][:n]
 	}
 }
 
 // Process runs one packet's B antenna frames through the complete front end
 // in lock-step and returns the per-lane 20 MHz baseband. All frames must
-// have equal length. Inputs are modified in place up to the decimation
-// stage; the returned slices are owned by the batch receiver (reused by the
-// next call). Lane l is bit-identical to rx.Reset() followed by
-// rx.Process(lanes[l]) on a sequential receiver carrying the same per-lane
-// history (the AGC resync counter is the only state Reset preserves, and it
-// is carried per lane here).
+// have equal length. Inputs are modified in place, and lane l's baseband is
+// written over the start of lanes[l] (the returned slices alias the inputs;
+// the slice holding them is reused by the next call). Lane l is
+// bit-identical to rx.Reset() followed by rx.Process(lanes[l]) on a
+// sequential receiver.
 func (b *BatchReceiver) Process(lanes [][]complex128) [][]complex128 {
 	L := len(lanes)
 	if L == 0 {
@@ -269,12 +259,12 @@ func (b *BatchReceiver) Process(lanes [][]complex128) [][]complex128 {
 			panic(fmt.Sprintf("rf: batch lane %d length %d != lane 0 length %d", l, len(lanes[l]), n))
 		}
 	}
-	b.grow(L, n)
+	b.grow(L)
 
 	// One Reset for the batch: every fixed-seed stream restarts once and its
 	// draws are shared across lanes (each lane's own restart would produce
 	// the identical sequence). The per-lane filter and AGC states live in
-	// the batch driver and are reset/carried below.
+	// the batch driver and are reset below.
 	b.rx.Reset()
 	if b.dcb != nil {
 		b.dcb.Reset()
@@ -282,37 +272,49 @@ func (b *BatchReceiver) Process(lanes [][]complex128) [][]complex128 {
 	if b.chs != nil {
 		b.chs.Reset()
 	}
-
-	b.rx.lna.processBatch(lanes, b.nre, b.nim)
 	prefillLOPair(b.rx.mixer1, b.rx.mixer2, n)
+	b.rx.mixer1.frameLO(n)
+	b.rx.mixer2.frameLO(n)
 
-	// The mixer/filter segment runs planar end to end: one conversion in,
-	// one out, with the noise adds, LO mixing, and biquad cascades all
-	// working the same planes. Conversions are pure load/store, so fusing
-	// them changes no arithmetic.
-	xr, xi := b.xr[:L], b.xi[:L]
-	for l, lane := range lanes {
-		kernels.Deinterleave(xr[l], xi[l], lane)
-	}
-	b.rx.mixer1.processBatchPlanar(xr, xi, b.nre, b.nim)
-	if b.dcb != nil {
-		b.dcb.ProcessPlanar(xr, xi)
-	}
-	b.rx.mixer2.processBatchPlanar(xr, xi, b.nre, b.nim)
-	if b.chs != nil {
-		b.chs.ProcessPlanar(xr, xi)
-	}
-	for l, lane := range lanes {
-		kernels.Interleave(lane, xr[l], xi[l])
+	// The LNA-to-filter segment streams block by block. Within a block the
+	// mixer/filter part runs planar end to end: one conversion in, one out,
+	// with the noise adds, LO mixing, and biquad cascades all working the
+	// same planes. Conversions are pure load/store, so fusing them changes
+	// no arithmetic.
+	blk, xr, xi := b.blk[:L], b.xr[:L], b.xi[:L]
+	for off := 0; off < n; off += batchBlock {
+		end := min(off+batchBlock, n)
+		for l, lane := range lanes {
+			blk[l] = lane[off:end]
+			xr[l], xi[l] = xr[l][:end-off], xi[l][:end-off]
+		}
+		b.rx.lna.processBatch(blk, b.nre, b.nim)
+		for l, lane := range blk {
+			kernels.Deinterleave(xr[l], xi[l], lane)
+		}
+		b.rx.mixer1.processBatchPlanar(xr, xi, b.nre, b.nim, off)
+		if b.dcb != nil {
+			b.dcb.ProcessPlanar(xr, xi)
+		}
+		b.rx.mixer2.processBatchPlanar(xr, xi, b.nre, b.nim, off)
+		if b.chs != nil {
+			b.chs.ProcessPlanar(xr, xi)
+		}
+		for l, lane := range blk {
+			kernels.Interleave(lane, xr[l], xi[l])
+		}
 	}
 
 	b.rx.agc.processBatch(lanes, &b.agc)
 	for _, lane := range lanes {
 		b.rx.adc.Process(lane)
 	}
+	// The decimator only drops samples (no anti-alias filter; see
+	// NewReceiver), reading each input sample at or after the output index
+	// it writes, so it decimates a lane in place.
 	for l, lane := range lanes {
 		b.rx.decim.Reset()
-		b.outs[l] = b.rx.decim.ProcessInto(b.outs[l][:0], lane)
+		b.outs[l] = b.rx.decim.ProcessInto(lane[:0], lane)
 	}
 	return b.outs[:L]
 }

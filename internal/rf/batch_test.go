@@ -30,10 +30,10 @@ func cloneFrames(src [][]complex128) [][]complex128 {
 
 // TestBatchReceiverMatchesSequential is the front-end differential test: lane
 // b of BatchReceiver.Process must be bit-identical to Reset + Process on a
-// fresh sequential receiver that carries the same per-lane packet history
-// (the AGC resync counter is the only state Reset preserves). Covered: batch
-// widths 1..16, multiple consecutive packets so resync carry is exercised,
-// and the noiseless (DisableNoise) configuration.
+// sequential receiver. Covered: batch widths 1..16, several consecutive
+// batches through one driver (no state may leak between them), frames that
+// span several streaming blocks, and the noiseless (DisableNoise)
+// configuration.
 func TestBatchReceiverMatchesSequential(t *testing.T) {
 	const oversample = 4
 	amp := math.Sqrt(1e-8) // ≈ -50 dBm envelope, inside the AGC window
@@ -48,23 +48,20 @@ func TestBatchReceiverMatchesSequential(t *testing.T) {
 			}
 			batch := NewBatchReceiver(rxBatch)
 
-			// One sequential oracle per lane: its AGC resync state evolves
-			// per lane exactly as the batch driver's carried state must.
-			seq := make([]*Receiver, B)
-			for l := range seq {
-				if seq[l], err = NewReceiver(cfg); err != nil {
-					t.Fatal(err)
-				}
+			seq, err := NewReceiver(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
 
-			for pkt := 0; pkt < 3; pkt++ {
-				n := oversample * (40 + 16*pkt) // vary frame length across packets
+			// Vary the frame length across packets: short frames fit one
+			// streaming block, the last spans several plus a ragged tail.
+			for pkt, n := range []int{oversample * 40, oversample * 56, 2*batchBlock + oversample*9} {
 				frames := batchFrames(int64(1000*B+pkt), B, n, amp)
 				got := batch.Process(cloneFrames(frames))
 
 				for l := 0; l < B; l++ {
-					seq[l].Reset()
-					want := seq[l].Process(append([]complex128(nil), frames[l]...))
+					seq.Reset()
+					want := seq.Process(append([]complex128(nil), frames[l]...))
 					if len(got[l]) != len(want) {
 						t.Fatalf("noise=%v B=%d pkt=%d lane %d: batch len %d != sequential len %d",
 							!disableNoise, B, pkt, l, len(got[l]), len(want))

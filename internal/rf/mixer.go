@@ -446,18 +446,26 @@ func (m *Mixer) processPlanar(xr, xi []float64) {
 	nur, nui := real(m.nu), imag(m.nu)
 	dcr, dci := real(m.dc), imag(m.dc)
 	if m.lo != nil {
-		if m.loFilled && m.lov.Len() == n {
-			m.loFilled = false
-		} else {
-			//lint:ignore escape inlined Vec grow: first-use plane allocation, reused afterwards
-			m.lov.Grow(n)
-			m.lo.fill(m.lov.Re, m.lov.Im)
-		}
+		m.frameLO(n)
 		kernels.MixApplyLO(xr, xi, m.lov.Re, m.lov.Im,
 			mur, mui, nur, nui, m.g, dcr, dci)
 	} else {
 		kernels.MixApply(xr, xi, mur, mui, nur, nui, m.g, dcr, dci)
 	}
+}
+
+// frameLO makes lov hold the LO trajectory of the next n-sample frame,
+// consuming a pending prefillLOPair fill when there is one.
+func (m *Mixer) frameLO(n int) {
+	if m.lo == nil {
+		return
+	}
+	if m.loFilled && m.lov.Len() == n {
+		m.loFilled = false
+		return
+	}
+	m.lov.Grow(n)
+	m.lo.fill(m.lov.Re, m.lov.Im)
 }
 
 // prefillLOPair fills both mixers' LO trajectory planes for an n-sample

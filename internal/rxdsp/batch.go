@@ -2,6 +2,19 @@ package rxdsp
 
 import "wlansim/internal/phy"
 
+// DeferredScratch carries DecodeDeferredBatch's per-call lane slices across
+// calls, so a long-lived caller (a Bench decoding every packet group)
+// decodes without allocating. The zero value is ready to use; the returned
+// error slice aliases it until the next call.
+type DeferredScratch struct {
+	errs  []error
+	ds    []*phy.PacketDecoder
+	carrs [][][]complex128
+	csis  [][][]float64
+	lanes []int
+	phy   phy.DecodeBatchScratch
+}
+
 // DecodeDeferredBatch completes the DATA-field decode of deferred Receive
 // results (Receiver.DeferDataDecode) in lock-step: the packets' soft streams
 // run through one batched Viterbi pass, the hot half of the bit-level chain.
@@ -16,29 +29,27 @@ import "wlansim/internal/phy"
 // SNR, lanes can announce divergent rates or lengths — with the leading
 // group decoded as one batch and any stragglers decoded sequentially.
 //
-// The returned slice holds, per lane, the error the sequential Receive would
-// have returned (nil on success); a failed lane's packet is lost exactly as
-// in sequential operation.
-func DecodeDeferredBatch(rxs []*Receiver, pkts []*PacketResult) []error {
-	errs := make([]error, len(pkts))
-	idx := make([]int, 0, len(pkts))
+// The returned slice, held in s, holds per lane the error the sequential
+// Receive would have returned (nil on success); a failed lane's packet is
+// lost exactly as in sequential operation.
+func DecodeDeferredBatch(rxs []*Receiver, pkts []*PacketResult, s *DeferredScratch) []error {
+	if cap(s.errs) < len(pkts) {
+		s.errs = make([]error, len(pkts))
+	}
+	errs := s.errs[:len(pkts)]
+	clear(errs)
+	ds, carrs, csis, lanes := s.ds[:0], s.carrs[:0], s.csis[:0], s.lanes[:0]
+	var mode phy.Mode
+	var psduLen, nSym int
 	for l, pkt := range pkts {
 		if pkt == nil || pkt.PSDU != nil || rxs[l] == nil || rxs[l].dec == nil {
 			continue
 		}
-		idx = append(idx, l)
-	}
-	if len(idx) == 0 {
-		return errs
-	}
-	lead := pkts[idx[0]]
-	mode, psduLen, nSym := lead.Signal.Mode, lead.Signal.Length, len(lead.EqualizedCarriers)
-	ds := make([]*phy.PacketDecoder, 0, len(idx))
-	carrs := make([][][]complex128, 0, len(idx))
-	csis := make([][][]float64, 0, len(idx))
-	lanes := make([]int, 0, len(idx))
-	for _, l := range idx {
-		pkt := pkts[l]
+		if len(lanes) == 0 {
+			// The first deferred lane leads: its SIGNAL shape defines the
+			// batch.
+			mode, psduLen, nSym = pkt.Signal.Mode, pkt.Signal.Length, len(pkt.EqualizedCarriers)
+		}
 		if pkt.Signal.Mode == mode && pkt.Signal.Length == psduLen && len(pkt.EqualizedCarriers) == nSym {
 			ds = append(ds, rxs[l].dec)
 			carrs = append(carrs, pkt.EqualizedCarriers)
@@ -55,7 +66,11 @@ func DecodeDeferredBatch(rxs []*Receiver, pkts []*PacketResult) []error {
 		}
 		pkt.PSDU = psdu
 	}
-	psdus, derrs := phy.DecodeDataCarriersBatch(ds, carrs, csis, mode, psduLen)
+	s.ds, s.carrs, s.csis, s.lanes = ds, carrs, csis, lanes
+	if len(lanes) == 0 {
+		return errs
+	}
+	psdus, derrs := phy.DecodeDataCarriersBatch(ds, carrs, csis, mode, psduLen, &s.phy)
 	for k, l := range lanes {
 		if derrs[k] != nil {
 			errs[l] = derrs[k]

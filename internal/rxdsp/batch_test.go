@@ -66,7 +66,7 @@ func runDeferredDifferential(t *testing.T, waves [][]complex128) {
 	t.Helper()
 	_, seqPkts, seqErrs := receiveLanes(waves, false, false)
 	rxs, pkts, errs := receiveLanes(waves, true, false)
-	derrs := DecodeDeferredBatch(rxs, pkts)
+	derrs := DecodeDeferredBatch(rxs, pkts, new(DeferredScratch))
 	for l := range errs {
 		if errs[l] == nil {
 			errs[l] = derrs[l]
@@ -121,7 +121,7 @@ func TestDeferredBatchDivergentSignalGrouping(t *testing.T) {
 			t.Fatalf("lane %d: deferred Receive decoded the PSDU eagerly", l)
 		}
 	}
-	derrs := DecodeDeferredBatch(rxs, pkts)
+	derrs := DecodeDeferredBatch(rxs, pkts, new(DeferredScratch))
 	for l := range pkts {
 		if derrs[l] != nil {
 			t.Fatalf("lane %d: deferred decode failed: %v", l, derrs[l])
@@ -154,7 +154,7 @@ func TestDeferredBatchSkipsHardDecisionLanes(t *testing.T) {
 		}
 	}
 	hardPSDUs := [][]byte{append([]byte(nil), pkts[0].PSDU...), append([]byte(nil), pkts[2].PSDU...)}
-	derrs := DecodeDeferredBatch(rxs, pkts)
+	derrs := DecodeDeferredBatch(rxs, pkts, new(DeferredScratch))
 	for l := range pkts {
 		if derrs[l] != nil {
 			t.Fatalf("lane %d: %v", l, derrs[l])
@@ -179,7 +179,7 @@ func TestDeferredBatchSkipsNilLanes(t *testing.T) {
 	// receiver slot, as RunBenchBatch produces for lost lanes.
 	rxs = []*Receiver{nil, rxs[0], NewReceiver()}
 	pkts = []*PacketResult{nil, pkts[0], nil}
-	derrs := DecodeDeferredBatch(rxs, pkts)
+	derrs := DecodeDeferredBatch(rxs, pkts, new(DeferredScratch))
 	if derrs[0] != nil || derrs[2] != nil {
 		t.Errorf("nil lanes reported errors: %v %v", derrs[0], derrs[2])
 	}
@@ -235,7 +235,8 @@ func TestDecodeDataCarriersBatchMatchesSequential(t *testing.T) {
 			for l := range ds {
 				ds[l] = phy.NewPacketDecoder()
 			}
-			psdus, errs := phy.DecodeDataCarriersBatch(ds, carrs, csis, mode, psduLen)
+			var scratch phy.DecodeBatchScratch
+			psdus, errs := phy.DecodeDataCarriersBatch(ds, carrs, csis, mode, psduLen, &scratch)
 			for l := 0; l < B; l++ {
 				if errs[l] != nil {
 					t.Fatalf("rate %d B %d lane %d: %v", rate, B, l, errs[l])
@@ -244,9 +245,10 @@ func TestDecodeDataCarriersBatchMatchesSequential(t *testing.T) {
 					t.Errorf("rate %d B %d lane %d: batch PSDU differs from sequential", rate, B, l)
 				}
 			}
-			// Scratch reuse: a second pass over the same inputs must reproduce
-			// itself (decoder state fully reset between packets).
-			again, errs2 := phy.DecodeDataCarriersBatch(ds, carrs, csis, mode, psduLen)
+			// Scratch reuse: a second pass over the same inputs and the same
+			// batch scratch must reproduce itself (decoder state fully reset
+			// between packets).
+			again, errs2 := phy.DecodeDataCarriersBatch(ds, carrs, csis, mode, psduLen, &scratch)
 			for l := 0; l < B; l++ {
 				if errs2[l] != nil {
 					t.Fatalf("second pass lane %d: %v", l, errs2[l])

@@ -251,7 +251,6 @@ type Receiver struct {
 	// Reusable scratch; see Reset.
 	notch    *dsp.IIR
 	buf      []complex128
-	work     []complex128
 	ce       chanEstimator
 	est      ChannelEstimate
 	q        eqScratch
@@ -343,9 +342,9 @@ func (r *Receiver) Receive(x []complex128, from int) (*PacketResult, error) {
 		return nil, err
 	}
 
-	// Correct the coarse CFO from the detection point onward.
-	r.work = append(r.work[:0], buf[d.StartIndex:]...)
-	work := r.work
+	// Correct the coarse CFO from the detection point onward, in place: buf
+	// is the receiver's own copy and is not read again.
+	work := buf[d.StartIndex:]
 	d.StartIndex += from
 	osc := dsp.NewOscillator(-d.CoarseCFO, 0)
 	osc.MixInto(work)

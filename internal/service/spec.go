@@ -33,7 +33,7 @@ import (
 // store key; bump it in any PR that changes simulated results (the golden
 // BER gate failing is the signal), which atomically invalidates stale
 // stores instead of serving points the current code would not reproduce.
-const CodeVersion = "wlansim-phys-v9"
+const CodeVersion = "wlansim-phys-v10"
 
 // MaxPoints bounds one job's sweep grid; a spec beyond it is rejected at
 // submission rather than occupying a worker for hours.
