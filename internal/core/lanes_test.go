@@ -43,8 +43,9 @@ func runAtWidth(t *testing.T, cfg Config, width int) *Result {
 // TestRunPacketBatchInvariant is the packet-lane invariance suite: Run's
 // Result must be bit-identical for every group width 1..8, across rates and
 // powers, early stops inside a group, suffix-noise SNR runs, packet counts
-// that leave a ragged last group, hard decisions, and the Fig. 5 and Fig. 6
-// sweep points with and without the stage cache.
+// that leave a ragged last group, ADC off, channel impairments, hard
+// decisions, and the Fig. 5 and Fig. 6 sweep points with and without the
+// stage cache.
 func TestRunPacketBatchInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("behavioral chain at eight group widths is too slow for -short")
@@ -120,6 +121,17 @@ func TestRunPacketBatchInvariant(t *testing.T) {
 			cfg: func() Config {
 				cfg := base
 				cfg.TuneRF = func(rc *rf.ReceiverConfig) { rc.ADC.Bits = 0 }
+				return cfg
+			},
+		},
+		scenario{
+			// Per-packet channel draws (fading taps, CFO phase) and a
+			// resampled, sample-clock-shifted frame in every lane.
+			name: "channel impairments",
+			cfg: func() Config {
+				cfg := snr(base, 20)
+				cfg.CFOHz, cfg.SampleClockPPM = 30e3, 20
+				cfg.MultipathTaps, cfg.MultipathRMSSamples, cfg.DopplerHz = 3, 1, 50
 				return cfg
 			},
 		},
