@@ -17,7 +17,7 @@ import (
 
 // cmdWaterfall prints BER-vs-SNR curves for a set of rates (ideal front
 // end by default; -behavioral runs the full analog line-up, where -batch
-// dispatches SNR points through the lock-step batched pipeline).
+// groups that many SNR points per work unit, their packets sharing lanes).
 func cmdWaterfall(args []string) error {
 	fs := flag.NewFlagSet("waterfall", flag.ExitOnError)
 	cfg, _ := benchFlags(fs)

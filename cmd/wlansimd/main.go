@@ -59,7 +59,7 @@ func run() error {
 	workers := fs.Int("workers", 2, "concurrently executing jobs")
 	queue := fs.Int("queue", 16, "accepted-but-unstarted job bound (429 beyond it)")
 	jobWorkers := fs.Int("job-workers", 0, "sweep workers inside one job (0 = all CPUs)")
-	batch := fs.Int("batch", 0, "lock-step batch width for batched sweeps (<= 1 = sequential)")
+	batch := fs.Int("batch", 0, "points per sweep work unit for sweeps that support it (<= 1 = one point per unit; lane width is fixed and results are identical)")
 	syncEvery := fs.Int("sync-every", store.DefaultSyncEvery, "fsync the segment every N appends")
 	_ = fs.Parse(os.Args[1:]) // ExitOnError: Parse never returns an error
 

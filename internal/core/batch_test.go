@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"wlansim/internal/measure"
@@ -38,77 +37,86 @@ func batchBase() Config {
 	return base
 }
 
-// TestRunBenchBatchMatchesSequential is the system-level differential test:
-// every lane of RunBenchBatch must reproduce NewBench(cfg).Run() exactly —
-// error counts, packet accounting and EVM, at the golden rates 6/24/54.
+// runAlone runs cfg on its own Bench: the reference every batched point
+// must reproduce.
+func runAlone(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	bench, err := NewBench(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := bench.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestRunBenchBatchMatchesSequential is the system-level differential test
+// for sweep points as lanes: every point of runBERPointBatch must reproduce
+// its bench run alone exactly, and so must every bench's Result — error
+// counts, packet accounting and EVM — when the points share one runLanes
+// call, at the golden rates 6/24/54.
 func TestRunBenchBatchMatchesSequential(t *testing.T) {
 	base := batchBase()
 	snrs := []float64{8, 12, 16, 20}
 	for _, rate := range []int{6, 24, 54} {
 		cfgs := batchSweepConfigs(base, rate, snrs)
-		got, err := RunBenchBatch(cfgs)
+		pts, err := runBERPointBatch(cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
+		benches := make([]*Bench, len(cfgs))
 		for l, cfg := range cfgs {
-			bench, err := NewBench(cfg)
-			if err != nil {
+			if benches[l], err = NewBench(cfg); err != nil {
 				t.Fatal(err)
 			}
-			want, err := bench.Run()
-			if err != nil {
-				t.Fatal(err)
+		}
+		got := make([]*Result, len(cfgs))
+		if err := runLanes(benches, got); err != nil {
+			t.Fatal(err)
+		}
+		for l, cfg := range cfgs {
+			want := runAlone(t, cfg)
+			if pts[l] != want.Counter.Point() {
+				t.Errorf("%d Mbps point %d (SNR %g): batch point %+v != sequential %+v",
+					rate, l, snrs[l], pts[l], want.Counter.Point())
 			}
-			if got[l].Counter != want.Counter {
-				t.Errorf("%d Mbps lane %d (SNR %g): batch counter %+v != sequential %+v",
-					rate, l, snrs[l], got[l].Counter, want.Counter)
-			}
-			if math.Float64bits(got[l].EVM.RMS) != math.Float64bits(want.EVM.RMS) ||
-				got[l].EVM.Symbols != want.EVM.Symbols {
-				t.Errorf("%d Mbps lane %d (SNR %g): batch EVM %+v != sequential %+v",
-					rate, l, snrs[l], got[l].EVM, want.EVM)
+			if !sameResult(got[l], want) {
+				t.Errorf("%d Mbps point %d (SNR %g): shared run %+v %+v != alone %+v %+v",
+					rate, l, snrs[l], got[l].Counter, got[l].EVM, want.Counter, want.EVM)
 			}
 		}
 	}
 }
 
-// TestRunBenchBatchEarlyStop pins the per-lane TargetErrors accounting: a
-// lane that reaches its error target drops out of later batches at exactly
-// the packet its sequential run would have stopped, without disturbing the
-// remaining lanes.
+// TestRunBenchBatchEarlyStop pins the per-point TargetErrors accounting: a
+// point that reaches its error target drops its later lanes at exactly the
+// packet its sequential run would have stopped, without disturbing the
+// remaining points.
 func TestRunBenchBatchEarlyStop(t *testing.T) {
 	base := batchBase()
 	base.Packets = 4
 	base.TargetErrors = 1
-	snrs := []float64{0, 4, 25, 30} // low-SNR lanes stop early, high-SNR lanes run out
+	snrs := []float64{0, 4, 25, 30} // low-SNR points stop early, high-SNR points run out
 	cfgs := batchSweepConfigs(base, 24, snrs)
-	got, err := RunBenchBatch(cfgs)
+	got, err := runBERPointBatch(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for l, cfg := range cfgs {
-		bench, err := NewBench(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := bench.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[l].Counter != want.Counter {
-			t.Errorf("lane %d (SNR %g): batch counter %+v != sequential %+v",
-				l, snrs[l], got[l].Counter, want.Counter)
+		if want := runAlone(t, cfg).Counter.Point(); got[l] != want {
+			t.Errorf("point %d (SNR %g): batch point %+v != sequential %+v", l, snrs[l], got[l], want)
 		}
 	}
 }
 
-// TestRunBenchBatchRejectsMixedConfigs pins the gate: lanes differing beyond
-// Seed/ChannelSNRdB, or outside the noise-sweep/behavioral shape, are
-// rejected rather than silently mis-batched.
+// TestRunBenchBatchRejectsMixedConfigs pins the gate: an empty batch, or
+// points differing beyond Seed/ChannelSNRdB or outside the
+// noise-sweep/behavioral shape, are rejected rather than silently
+// mis-batched.
 func TestRunBenchBatchRejectsMixedConfigs(t *testing.T) {
 	base := batchBase()
-	good := batchSweepConfigs(base, 24, []float64{10, 14})
-
 	rateMix := batchSweepConfigs(base, 24, []float64{10, 14})
 	rateMix[1].RateMbps = 6
 	ideal := batchSweepConfigs(base, 24, []float64{10, 14})
@@ -119,10 +127,10 @@ func TestRunBenchBatchRejectsMixedConfigs(t *testing.T) {
 	wrongStage[0].SweptStage = StageFrontEnd
 
 	for name, cfgs := range map[string][]Config{
-		"single lane": good[:1], "rate mix": rateMix, "ideal front end": ideal,
+		"empty": nil, "rate mix": rateMix, "ideal front end": ideal,
 		"missing SNR": noSNR, "wrong stage": wrongStage,
 	} {
-		if _, err := RunBenchBatch(cfgs); err == nil {
+		if _, err := runBERPointBatch(cfgs); err == nil {
 			t.Errorf("%s: batch accepted", name)
 		}
 	}
@@ -130,36 +138,71 @@ func TestRunBenchBatchRejectsMixedConfigs(t *testing.T) {
 
 // TestGoldenBERBatchingInvariant is the golden fixed-seed regression for the
 // batch dispatch: the behavioral waterfall at 6/24/54 Mbit/s must be
-// byte-identical with batching off, batching on (full and ragged groups),
-// and across worker counts 1 and 8 under the same batch width.
+// byte-identical with batching off and on, across worker counts, for lane
+// groups that straddle packet indices (Batch=3 and Batch=2 against four-wide
+// groups), for a point that reaches TargetErrors mid-group while its
+// batch-mates run on, and for a tail work unit of a single point.
 func TestGoldenBERBatchingInvariant(t *testing.T) {
-	base := batchBase()
 	rates := []int{6, 24, 54}
-	snrs := []float64{8, 12, 16, 20}
+	type shape struct {
+		packets, targetErrors int
+		snrs                  string
+	}
+	snrSets := map[string][]float64{
+		"4": {8, 12, 16, 20},
+		"5": {8, 11, 14, 17, 20},
+		// Point 0 at 0 dB stops on its first packet; at Batch=2 its second
+		// packet shares that group with point 1, which runs all its packets.
+		"stop": {0, 25, 4, 30},
+	}
 
-	run := func(batch, workers int) *measure.Figure {
+	run := func(s shape, batch, workers int) *measure.Figure {
 		t.Helper()
-		cfg := base
+		cfg := batchBase()
+		cfg.Packets = s.packets
+		cfg.TargetErrors = s.targetErrors
 		cfg.Batch = batch
 		cfg.Workers = workers
-		fig, err := WaterfallBERvsSNROnFrontEnd(cfg, FrontEndBehavioral, rates, snrs)
+		fig, err := WaterfallBERvsSNROnFrontEnd(cfg, FrontEndBehavioral, rates, snrSets[s.snrs])
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fig
 	}
 
-	ref := run(0, 1)
+	refs := map[shape]*measure.Figure{}
 	for _, v := range []struct {
 		name           string
+		shape          shape
 		batch, workers int
 	}{
-		{"batch=4 workers=1", 4, 1},
-		{"batch=3 workers=1 (ragged tail)", 3, 1},
-		{"batch=4 workers=8", 4, 8},
-		{"batch=0 workers=8", 0, 8},
+		{"batch=4 workers=1", shape{2, 0, "4"}, 4, 1},
+		{"batch=3 workers=1 (one-point tail)", shape{2, 0, "4"}, 3, 1},
+		{"batch=4 workers=8", shape{2, 0, "4"}, 4, 8},
+		{"batch=0 workers=8", shape{2, 0, "4"}, 0, 8},
+		{"batch=3 packets=5 (groups straddle packets)", shape{5, 0, "4"}, 3, 1},
+		{"batch=4 five points (one-point tail)", shape{2, 0, "5"}, 4, 2},
+		{"batch=2 packets=5 target errors (stop mid-group)", shape{5, 1, "stop"}, 2, 1},
 	} {
-		fig := run(v.batch, v.workers)
+		ref, ok := refs[v.shape]
+		if !ok {
+			ref = run(v.shape, 0, 1)
+			refs[v.shape] = ref
+		}
+		if v.shape.snrs == "stop" {
+			// The row exercises a mid-group stop only if the 0 dB point stops
+			// after its first packet while its batch-mate at 25 dB runs every
+			// packet (the series lists points in X order).
+			packetBits := batchBase().PSDULen * 8
+			for si, series := range ref.Series {
+				at0, at25 := series.Points[0], series.Points[2]
+				if at0.X != 0 || at0.Bits != packetBits || at25.X != 25 || at25.Bits != v.shape.packets*packetBits {
+					t.Fatalf("%s: rate %d: points %+v and %+v, want %d and %d bits",
+						v.name, rates[si], at0, at25, packetBits, v.shape.packets*packetBits)
+				}
+			}
+		}
+		fig := run(v.shape, v.batch, v.workers)
 		if len(fig.Series) != len(ref.Series) {
 			t.Fatalf("%s: %d series, want %d", v.name, len(fig.Series), len(ref.Series))
 		}

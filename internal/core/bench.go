@@ -134,12 +134,13 @@ type Config struct {
 	// identical for every value: each point and each packet derives its
 	// seeds from Seed via internal/seed, never from execution order.
 	Workers int
-	// Batch, when > 1, lets sweep harnesses dispatch that many equal-config
-	// points (noise-only sweeps over the behavioral front end) through the
-	// lock-step batched pipeline (RunBenchBatch). Results are bit-identical
-	// for every value — batching changes wall-clock only, as the batch
-	// differential tests pin. Ragged tail groups and unsupported sweep shapes
-	// fall back to the sequential path automatically.
+	// Batch, when > 1, is the number of points per sweep work unit for
+	// sweeps that support it (noise-only sweeps over the behavioral front
+	// end): a unit's points run their packets as lanes of one lock-step run,
+	// and a ragged tail unit holds only the remaining points. The lane width
+	// is fixed by the pipeline, not by Batch. Results are bit-identical for
+	// every value — Batch changes wall-clock only, as the batch differential
+	// tests pin. Other sweeps run point by point.
 	Batch int
 	// TargetErrors, when > 0, stops a bench run early once the accumulated
 	// bit-error count reaches it (Packets stays the upper bound). Sweep
@@ -241,13 +242,16 @@ type Bench struct {
 	noiseMarked bool
 
 	// frame is the reused wanted-PPDU assembly target; gotBits receives
-	// each decoded PSDU's bits for the error count.
+	// each decoded PSDU's bits for the error count; evm accumulates the
+	// current run's EVM.
 	frame   phy.Frame
 	gotBits []byte
+	evm     evmAccum
 
-	// Packet lanes (see Run): each lane's waveform buffer and DSP receiver,
-	// the batched front end, and the per-group slices handed to it and to
-	// the deferred decode — all reused across groups and Run calls.
+	// Lanes (see runLanes), used when the bench leads a run: each lane's
+	// waveform buffer and DSP receiver, the batched front end, and the
+	// per-group slices handed to it and to the deferred decode — all reused
+	// across groups and runs.
 	lanes   []packetLane
 	batchFE *rf.BatchReceiver
 	waves   [][]complex128
@@ -263,14 +267,15 @@ type Bench struct {
 	keyContent uint64
 }
 
-// packetLanes is how many consecutive packets of one Run go through the
-// behavioral front end and the Viterbi decoder in lock-step. Four lanes
-// overlap the latency-bound AGC, biquad and trellis recurrences while the
-// lane working set stays a few frames.
+// packetLanes is how many lanes go through the behavioral front end and the
+// Viterbi decoder in lock-step. Four lanes overlap the latency-bound AGC,
+// biquad and trellis recurrences while the lane working set stays a few
+// frames.
 const packetLanes = 4
 
-// packetLane is one packet slot of a Run group.
+// packetLane is one (bench, packet) slot of a runLanes group.
 type packetLane struct {
+	bench   int             // the lane's bench, as an index into the run's benches
 	wave    []complex128    // the packet's waveform at the prefix boundary
 	refBits []byte          // the packet's reference payload bits
 	rx      *rxdsp.Receiver // the lane's DSP receiver (nil with ideal RX timing)
@@ -598,8 +603,8 @@ func (b *Bench) boundary(os int) prefixBoundary {
 	}
 }
 
-// groupWidth is the number of consecutive packets Run pushes through the
-// front end and the Viterbi decoder together. Only antenna-boundary packets
+// groupWidth is the number of lanes runLanes pushes through the front end
+// and the Viterbi decoder together. Only antenna-boundary packets
 // on the behavioral front end batch (rf.BatchReceiver); every other boundary
 // and front end runs one packet per group.
 func (b *Bench) groupWidth(boundary prefixBoundary) int {
@@ -714,96 +719,143 @@ func (b *Bench) packetPrefix(p, os int, ln *packetLane) error {
 // Run simulates the configured number of packets and returns the measured
 // statistics. The pipeline is the five-stage chain documented on Stage; each
 // packet's prefix (the stages before Config.SweptStage) may be served from
-// Config.Cache, with identical results either way.
-//
-// Packets run in groups of consecutive packets, one lane each (groupWidth:
-// up to packetLanes at the behavioral antenna boundary, one elsewhere). A
-// group produces every lane's prefix and suffix noise in packet order, runs
-// the front end once for all lanes (rf.BatchReceiver), equalizes each lane
-// on its own DSP receiver and decodes the lanes' DATA fields in one
-// lock-step Viterbi pass (rxdsp.DecodeDeferredBatch). Outcomes are counted
-// in packet order and the lanes after a TargetErrors stop are dropped, so
-// the Result is bit-identical for every group width.
+// Config.Cache, with identical results either way. Run is the one-bench case
+// of the lane engine (runLanes).
 func (b *Bench) Run() (*Result, error) {
-	os := b.oversample()
-	if b.fe == nil {
-		fe, err := b.buildFrontEnd(os)
-		if err != nil {
-			return nil, err
-		}
-		b.fe = fe
-	}
-	mode, err := phy.ModeByRate(b.cfg.RateMbps)
-	if err != nil {
+	var res [1]*Result
+	if err := runLanes([]*Bench{b}, res[:]); err != nil {
 		return nil, err
 	}
+	return res[0], nil
+}
+
+// startRun readies b for one run: its transmitter, its EVM accumulator and,
+// in suffix-noise mode, its point-variant noise stream rewound to the run's
+// first packet.
+func (b *Bench) startRun(mode phy.Mode) {
 	if b.tx == nil {
 		b.tx = &phy.Transmitter{Mode: mode}
 	}
-	suffixNoise := b.suffixNoise()
-	if suffixNoise {
-		// The point-variant noise is one sequential stream per Run, rewound
-		// by snapshot restore instead of a costly re-seed. Draw counts per
-		// packet are fixed by the configuration, so packet p's noise is
-		// independent of how many packets run after it.
-		if !b.noiseMarked {
-			// The mark snapshots the generator's current state, so it must be
-			// planted right after seeding with the point's noise seed —
-			// marking a differently seeded generator would hand every sweep
-			// point the same noise realization.
-			s := seed.ForStage(b.stageRoot(StageNoise), int(StageNoise), 0)
-			if b.noiseRNG == nil {
-				b.noiseRNG = randutil.NewRandDirect(s)
-			} else {
-				b.noiseRNG.Seed(s)
-				b.noiseRNG.Mark()
-			}
-			b.noiseMarked = true
-		}
-		b.noiseRNG.Rewind()
+	b.evm = evmAccum{}
+	if !b.suffixNoise() {
+		return
 	}
-	boundary := b.boundary(os)
-	width := min(b.groupWidth(boundary), b.cfg.Packets)
-	b.growLanes(width, width > 1)
-	res := &Result{OversampleFactor: os, FrontEnd: b.cfg.FrontEnd}
-	var evm evmAccum
+	// The point-variant noise is one sequential stream per Run, rewound by
+	// snapshot restore instead of a costly re-seed. Draw counts per packet
+	// are fixed by the configuration, so packet p's noise is independent of
+	// how many packets run after it.
+	if !b.noiseMarked {
+		// The mark snapshots the generator's current state, so it must be
+		// planted right after seeding with the point's noise seed — marking
+		// a differently seeded generator would hand every sweep point the
+		// same noise realization.
+		s := seed.ForStage(b.stageRoot(StageNoise), int(StageNoise), 0)
+		if b.noiseRNG == nil {
+			b.noiseRNG = randutil.NewRandDirect(s)
+		} else {
+			b.noiseRNG.Seed(s)
+			b.noiseRNG.Mark()
+		}
+		b.noiseMarked = true
+	}
+	b.noiseRNG.Rewind()
+}
 
-packets:
-	for p := 0; p < b.cfg.Packets; p += width {
-		lanes := b.lanes[:min(width, b.cfg.Packets-p)]
-		waves := b.waves[:len(lanes)]
+// runLanes is the lane engine: it runs every bench's packets and stores
+// bench i's Result in results[i]. Its lanes are (bench, packet) pairs in
+// packet-major order — for each packet index, every bench that has not yet
+// stopped, in order — chunked into groups of the lead bench's groupWidth
+// (up to packetLanes at the behavioral antenna boundary, one elsewhere).
+//
+// A group produces every lane's prefix and suffix noise, each bench's
+// packets in order; runs the front end once for all lanes (rf.BatchReceiver,
+// built from the lead bench's front end); equalizes each lane on its own DSP
+// receiver and decodes the lanes' DATA fields in one lock-step Viterbi pass
+// (rxdsp.DecodeDeferredBatch). Outcomes are counted into each lane's own
+// bench in lane order. A bench that reaches its TargetErrors drops its later
+// lanes, including any already in the group, while the other benches carry
+// on. Every bench's Result is therefore bit-identical to running it alone,
+// at every group width.
+//
+// Several benches share one run only when they share one pipeline shape and
+// front end (batchableConfigs): the lead bench's front end, lane receivers
+// and boundary serve them all.
+func runLanes(benches []*Bench, results []*Result) error {
+	lead := benches[0]
+	os := lead.oversample()
+	if lead.fe == nil {
+		fe, err := lead.buildFrontEnd(os)
+		if err != nil {
+			return err
+		}
+		lead.fe = fe
+	}
+	mode, err := phy.ModeByRate(lead.cfg.RateMbps)
+	if err != nil {
+		return err
+	}
+	for i, b := range benches {
+		b.startRun(mode)
+		results[i] = &Result{OversampleFactor: os, FrontEnd: b.cfg.FrontEnd}
+	}
+	boundary := lead.boundary(os)
+	packets := lead.cfg.Packets
+	width := min(lead.groupWidth(boundary), packets*len(benches))
+	lead.growLanes(width, width > 1)
+
+	// (p, i) is the next lane: packet p of benches[i].
+	p, i := 0, 0
+	for {
+		n := 0
+		for n < width && p < packets {
+			if b := benches[i]; !b.stopped(results[i]) {
+				ln := &lead.lanes[n]
+				ln.bench = i
+				if err := b.packetPrefix(p, os, ln); err != nil {
+					return err
+				}
+				if b.suffixNoise() {
+					b.addNoise(ln.wave, os, b.noiseRNG)
+				}
+				lead.waves[n] = ln.wave
+				n++
+			}
+			if i++; i == len(benches) {
+				i, p = 0, p+1
+			}
+		}
+		if n == 0 {
+			break
+		}
+		lanes := lead.lanes[:n]
+		basebands := lead.frontEnd(lead.waves[:n], boundary)
+
+		pkts := lead.pkts[:n]
 		for k := range lanes {
 			ln := &lanes[k]
-			if err := b.packetPrefix(p+k, os, ln); err != nil {
-				return nil, err
-			}
-			if suffixNoise {
-				b.addNoise(ln.wave, os, b.noiseRNG)
-			}
-			waves[k] = ln.wave
-		}
-		basebands := b.frontEnd(waves, boundary)
-
-		pkts := b.pkts[:len(lanes)]
-		for k := range lanes {
-			pkts[k], lanes[k].rxErr = b.receiveDSP(lanes[k].rx, basebands[k], mode)
+			pkts[k], ln.rxErr = benches[ln.bench].receiveDSP(ln.rx, basebands[k], mode)
 		}
 		// One lock-step Viterbi pass over every deferred lane; a lane's
 		// decode error is exactly the error its eager Receive would have
 		// returned. Eagerly decoded lanes are skipped.
-		derrs := rxdsp.DecodeDeferredBatch(b.rxs[:len(lanes)], pkts, &b.decode)
+		derrs := rxdsp.DecodeDeferredBatch(lead.rxs[:n], pkts, &lead.decode)
 		for k := range lanes {
-			rxErr := lanes[k].rxErr
+			ln := &lanes[k]
+			b, res := benches[ln.bench], results[ln.bench]
+			if b.stopped(res) {
+				continue // a later packet of a bench that stopped in this group
+			}
+			rxErr := ln.rxErr
 			if rxErr == nil {
 				rxErr = derrs[k]
 			}
-			if b.accountPacket(pkts[k], rxErr, lanes[k].refBits, mode, res, &evm) {
-				break packets
-			}
+			b.accountPacket(pkts[k], rxErr, ln.refBits, mode, res)
 		}
 	}
-	evm.finish(res)
-	return res, nil
+	for i, b := range benches {
+		b.evm.finish(results[i])
+	}
+	return nil
 }
 
 // growLanes readies the first width packet lanes. Buffers and receivers
@@ -890,18 +942,23 @@ func (b *Bench) receiveDSP(rx *rxdsp.Receiver, baseband []complex128, mode phy.M
 	return rx.Receive(baseband, 0)
 }
 
-// accountPacket folds one packet's receive outcome into the result and EVM
-// accumulator, returning whether the configured error target is reached.
-func (b *Bench) accountPacket(pkt *rxdsp.PacketResult, rxErr error, refBits []byte, mode phy.Mode, res *Result, evm *evmAccum) bool {
+// accountPacket folds one packet's receive outcome into the result and the
+// bench's EVM accumulator.
+func (b *Bench) accountPacket(pkt *rxdsp.PacketResult, rxErr error, refBits []byte, mode phy.Mode, res *Result) {
 	if rxErr != nil {
 		res.Counter.AddLostPacket(len(refBits))
-		return b.cfg.TargetErrors > 0 && res.Counter.Errors >= b.cfg.TargetErrors
+		return
 	}
 	b.gotBits = bits.AppendFromBytes(b.gotBits[:0], pkt.PSDU)
 	res.Counter.AddPacket(refBits, b.gotBits)
 	if ev, err := measure.EVM(pkt.EqualizedCarriers, mode.Modulation); err == nil {
-		evm.acc += ev.RMS * ev.RMS * float64(ev.Symbols)
-		evm.symbols += ev.Symbols
+		b.evm.acc += ev.RMS * ev.RMS * float64(ev.Symbols)
+		b.evm.symbols += ev.Symbols
 	}
+}
+
+// stopped reports whether res, the bench's Result so far, has reached the
+// configured error target.
+func (b *Bench) stopped(res *Result) bool {
 	return b.cfg.TargetErrors > 0 && res.Counter.Errors >= b.cfg.TargetErrors
 }

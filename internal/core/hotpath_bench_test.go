@@ -144,13 +144,14 @@ func runSweepBatched(b *testing.B, batch int) {
 	}
 }
 
-// BenchmarkSweepBatched runs the canonical batched-sweep scenario through
-// the lock-step batch pipeline (Batch=8: all points in one batch group).
-// Compare against BenchmarkSweepBatchedSeq — identical workload, identical
-// results, sequential dispatch — for the batching speedup.
+// BenchmarkSweepBatched runs the canonical batched-sweep scenario with all
+// points in one work unit (Batch=8), so lane groups hold four points at one
+// packet index. Compare against BenchmarkSweepBatchedSeq — identical
+// workload, identical results, one point per unit, whose lane groups hold
+// one point's packets — for the points-as-lanes speedup.
 func BenchmarkSweepBatched(b *testing.B) { runSweepBatched(b, 8) }
 
-// BenchmarkSweepBatchedSeq is the sequential-dispatch control for
+// BenchmarkSweepBatchedSeq is the one-point-per-unit control for
 // BenchmarkSweepBatched.
 func BenchmarkSweepBatchedSeq(b *testing.B) { runSweepBatched(b, 0) }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"wlansim/internal/kernels"
 	"wlansim/internal/measure"
 	"wlansim/internal/phy"
 	"wlansim/internal/seed"
@@ -33,9 +32,9 @@ func WaterfallBERvsSNR(base Config, ratesMbps []int, snrsDB []float64) (*measure
 // WaterfallBERvsSNROnFrontEnd is WaterfallBERvsSNR with a selectable analog
 // abstraction level, so waterfalls can also be taken through the behavioral
 // front end (the paper's pure-SPW setup). On the behavioral front end with
-// base.Batch > 1, groups of base.Batch SNR points run through the lock-step
-// batched pipeline (RunBenchBatch); the series is bit-identical for every
-// Batch and Workers value — only wall-clock changes.
+// base.Batch > 1, each sweep work unit is base.Batch consecutive SNR points
+// whose packets share one lane run (runBERPointBatch); the series is
+// bit-identical for every Batch and Workers value — only wall-clock changes.
 func WaterfallBERvsSNROnFrontEnd(base Config, fe FrontEndKind, ratesMbps []int, snrsDB []float64) (*measure.Figure, error) {
 	fig := &measure.Figure{Title: fmt.Sprintf("BER vs channel SNR (%v front end)", fe)}
 	for _, rate := range ratesMbps {
@@ -70,7 +69,7 @@ func WaterfallBERvsSNROnFrontEnd(base Config, fe FrontEndKind, ratesMbps []int, 
 			},
 		}
 		if fe == FrontEndBehavioral && base.Batch > 1 {
-			sweep.BatchSize = batchLaneWidth(base.Batch)
+			sweep.BatchSize = base.Batch
 			sweep.RunPointBatch = func(snrs []float64) ([]measure.Point, error) {
 				cfgs := make([]Config, len(snrs))
 				for i, snr := range snrs {
@@ -89,21 +88,6 @@ func WaterfallBERvsSNROnFrontEnd(base Config, fe FrontEndKind, ratesMbps []int, 
 		fig.Series = append(fig.Series, series)
 	}
 	return fig, nil
-}
-
-// batchLaneWidth rounds a configured batch width up to the next multiple of
-// the kernel tier's SIMD lane width, so every vector instruction in the
-// batched pipeline runs with full lanes (the sweep executor pads ragged value
-// tails with dummy lanes, so a widened batch never falls back to the scalar
-// path). With the pure-Go tier active the width is 1 and the configured value
-// passes through unchanged. The series itself is width-independent — pinned
-// by TestGoldenBERBatchingInvariant — so this only affects wall-clock.
-func batchLaneWidth(b int) int {
-	w := kernels.SIMDWidth()
-	if w <= 1 {
-		return b
-	}
-	return (b + w - 1) / w * w
 }
 
 // SensitivitySearch bisects the wanted power until the packet error rate

@@ -3,36 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"wlansim/internal/kernels"
 )
-
-// TestBatchLaneWidth pins the lane-width rounding under both kernel tiers:
-// with the assembly tier active a configured batch rounds up to the next
-// multiple of the vector width; under pure Go it passes through unchanged.
-func TestBatchLaneWidth(t *testing.T) {
-	prev := kernels.DispatchName() != "purego"
-	defer kernels.SetDispatch(prev)
-
-	kernels.SetDispatch(false)
-	for _, b := range []int{2, 3, 4, 7} {
-		if got := batchLaneWidth(b); got != b {
-			t.Errorf("pure-Go tier: batchLaneWidth(%d) = %d, want %d", b, got, b)
-		}
-	}
-
-	if kernels.SetDispatch(true) == "purego" {
-		return // no assembly tier on this machine
-	}
-	w := kernels.SIMDWidth()
-	for _, b := range []int{2, 3, 4, 7} {
-		got := batchLaneWidth(b)
-		if got%w != 0 || got < b || got-b >= w {
-			t.Errorf("SIMD tier (width %d): batchLaneWidth(%d) = %d, want next multiple of %d",
-				w, b, got, w)
-		}
-	}
-}
 
 func TestWaterfallOrdering(t *testing.T) {
 	if testing.Short() {

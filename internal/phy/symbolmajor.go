@@ -1,11 +1,6 @@
 package phy
 
-import (
-	"fmt"
-	"os"
-
-	"wlansim/internal/dsp"
-)
+import "fmt"
 
 // Symbol-major OFDM modulation and demodulation: instead of transforming one
 // symbol at a time, the transmitter assembles every DATA-symbol spectrum
@@ -14,37 +9,9 @@ import (
 // (dsp.ForwardMany/InverseMany). Each lane of the batched pipeline carries
 // one unchanged single-symbol butterfly chain, and the surrounding scale and
 // cyclic-prefix loops are the exact per-symbol loops, so the symbol-major
-// waveforms and spectra are byte-identical to the per-symbol path — which
-// TestSymbolMajorBitExact and the golden BER invariant pin.
-
-// symbolMajor selects the symbol-major mod/demod restructure. A plain bool
-// like kernels.useSIMD: flipped at startup or by tests that own all callers,
-// not synchronized for concurrent toggling mid-run.
-var symbolMajor = envSymbolMajorEnabled()
-
-// envSymbolMajorEnabled consults the WLANSIM_SYMMAJOR environment variable:
-// "off", "0" and "false" force the per-symbol path; anything else (including
-// unset) keeps the symbol-major default.
-func envSymbolMajorEnabled() bool {
-	switch os.Getenv("WLANSIM_SYMMAJOR") {
-	case "off", "0", "false":
-		return false
-	}
-	return true
-}
-
-// SetSymbolMajor selects the symbol-major mod/demod path (true) or the
-// per-symbol path (false) and reports the previous setting. Intended for
-// startup configuration and for differential tests that exercise both; not
-// safe to call concurrently with running transmitters or receivers.
-func SetSymbolMajor(on bool) bool {
-	prev := symbolMajor
-	symbolMajor = on
-	return prev
-}
-
-// SymbolMajorEnabled reports whether the symbol-major path is selected.
-func SymbolMajorEnabled() bool { return symbolMajor }
+// waveforms and spectra are byte-identical to ModulateSymbolAppend and
+// DemodulateSymbolInto applied symbol by symbol — which the
+// TestSymbolMajor*BitExact tests pin.
 
 // ModulateSymbolsAppend appends one 80-sample OFDM symbol per spectrum to
 // dst, batching the inverse transforms four symbols at a time. views is
@@ -115,7 +82,3 @@ func DemodulateSymbols(dst, syms [][]complex128) error {
 	}
 	return nil
 }
-
-// OFDMPlan exposes the shared 64-point plan for packages layering additional
-// batched transforms on the same engine.
-func OFDMPlan() *dsp.FFTPlan { return ofdmPlan }

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,16 +9,11 @@ import (
 	"wlansim/internal/kernels"
 )
 
-// symMajorRestore reverts the symbol-major toggle and kernel dispatch when
-// the test ends.
-func symMajorRestore(t *testing.T) {
+// dispatchRestore reverts the kernel dispatch when the test ends.
+func dispatchRestore(t *testing.T) {
 	t.Helper()
-	prevSM := SymbolMajorEnabled()
-	prevSIMD := kernels.DispatchName() != "purego"
-	t.Cleanup(func() {
-		SetSymbolMajor(prevSM)
-		kernels.SetDispatch(prevSIMD)
-	})
+	prev := kernels.DispatchName() != "purego"
+	t.Cleanup(func() { kernels.SetDispatch(prev) })
 }
 
 func complexSlicesBitEqual(t *testing.T, ctx string, got, want []complex128) {
@@ -33,14 +29,17 @@ func complexSlicesBitEqual(t *testing.T, ctx string, got, want []complex128) {
 	}
 }
 
-// TestSymbolMajorTransmitBitExact pins the symbol-major transmitter against
-// the per-symbol path: the complete PPDU waveform must be byte-identical for
-// every rate, under both kernel dispatch tiers.
+// TestSymbolMajorTransmitBitExact pins the transmitter's symbol-major DATA
+// field against a per-symbol reference: each DATA symbol built from the
+// scrambled, coded, punctured stream and modulated on its own by
+// ModulateSymbolAppend. The waveform must be byte-identical for every rate,
+// under both kernel dispatch tiers.
 func TestSymbolMajorTransmitBitExact(t *testing.T) {
-	symMajorRestore(t)
+	dispatchRestore(t)
 	rng := rand.New(rand.NewSource(71))
 	psdu := make([]byte, 300)
 	rng.Read(psdu)
+	const seed = 0x2B
 	for _, simd := range []bool{true, false} {
 		kernels.SetDispatch(simd)
 		for _, rate := range []int{6, 9, 12, 18, 24, 36, 48, 54} {
@@ -48,17 +47,38 @@ func TestSymbolMajorTransmitBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			SetSymbolMajor(true)
-			on, err := tx.Transmit(psdu)
+			tx.ScramblerSeed = seed
+			frame, err := tx.Transmit(psdu)
 			if err != nil {
 				t.Fatal(err)
 			}
-			SetSymbolMajor(false)
-			off, err := tx.Transmit(psdu)
+
+			stream, nSym := DataFieldBits(psdu, tx.Mode, seed)
+			punct, err := Puncture(ConvolutionalEncode(stream), tx.Mode.CodeRate)
 			if err != nil {
 				t.Fatal(err)
 			}
-			complexSlicesBitEqual(t, "waveform", on.Samples, off.Samples)
+			ncbps := tx.Mode.NCBPS()
+			var want []complex128
+			for n := 0; n < nSym; n++ {
+				inter, err := Interleave(punct[n*ncbps:(n+1)*ncbps], tx.Mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				syms, err := MapBits(inter, tx.Mode.Modulation)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec, err := AssembleSpectrum(syms, n+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, err = ModulateSymbolAppend(want, spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dataStart := PreambleLen + SymbolLen
+			complexSlicesBitEqual(t, fmt.Sprintf("%d Mbit/s DATA field", rate), frame.Samples[dataStart:], want)
 		}
 	}
 }
@@ -67,7 +87,7 @@ func TestSymbolMajorTransmitBitExact(t *testing.T) {
 // against their per-symbol forms on random spectra and symbols, including
 // batch sizes around the four-lane grouping boundary, under both tiers.
 func TestSymbolMajorModDemodBitExact(t *testing.T) {
-	symMajorRestore(t)
+	dispatchRestore(t)
 	rng := rand.New(rand.NewSource(72))
 	for _, simd := range []bool{true, false} {
 		kernels.SetDispatch(simd)

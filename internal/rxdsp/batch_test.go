@@ -176,7 +176,7 @@ func TestDeferredBatchSkipsNilLanes(t *testing.T) {
 		t.Fatal(errs[0])
 	}
 	// Surround the real lane with nil packets (failed Receives) and a nil
-	// receiver slot, as RunBenchBatch produces for lost lanes.
+	// receiver slot, as the core lane engine produces for lost lanes.
 	rxs = []*Receiver{nil, rxs[0], NewReceiver()}
 	pkts = []*PacketResult{nil, pkts[0], nil}
 	derrs := DecodeDeferredBatch(rxs, pkts, new(DeferredScratch))

@@ -433,33 +433,21 @@ func (r *Receiver) Receive(x []complex128, from int) (*PacketResult, error) {
 		r.csis = make([][]float64, nSym)
 	}
 	csis := r.csis[:nSym]
-	if phy.SymbolMajorEnabled() {
-		// Symbol-major: slice every DATA symbol, demodulate the whole field
-		// through the batched four-lane forward transform, then equalize each
-		// spectrum. Byte-identical to the per-symbol branch below.
-		specs, symViews := r.growSpecs(nSym)
-		for n := 0; n < nSym; n++ {
-			s := dataStart + n*phy.SymbolLen
-			symViews[n] = work[s : s+phy.SymbolLen]
-		}
-		if err := phy.DemodulateSymbols(specs, symViews); err != nil {
+	// Slice every DATA symbol, demodulate the whole field through the
+	// batched four-lane forward transform, then equalize each spectrum.
+	specs, symViews := r.growSpecs(nSym)
+	for n := 0; n < nSym; n++ {
+		s := dataStart + n*phy.SymbolLen
+		symViews[n] = work[s : s+phy.SymbolLen]
+	}
+	if err := phy.DemodulateSymbols(specs, symViews); err != nil {
+		return nil, err
+	}
+	for n := 0; n < nSym; n++ {
+		carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
+		csis[n] = r.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
+		if err := r.q.equalizeSpec(carriers[n], csis[n], specs[n], est, n+1, mmseReg); err != nil {
 			return nil, err
-		}
-		for n := 0; n < nSym; n++ {
-			carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			csis[n] = r.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			if err := r.q.equalizeSpec(carriers[n], csis[n], specs[n], est, n+1, mmseReg); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for n := 0; n < nSym; n++ {
-			carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			csis[n] = r.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			s := dataStart + n*phy.SymbolLen
-			if err := r.q.equalize(carriers[n], csis[n], work[s:s+phy.SymbolLen], est, n+1, mmseReg); err != nil {
-				return nil, err
-			}
 		}
 	}
 	var csiArg [][]float64
@@ -582,32 +570,21 @@ func (r *IdealReceiver) Receive(x []complex128, start int) (*PacketResult, error
 		r.csis = make([][]float64, nSym)
 	}
 	csis := r.csis[:nSym]
-	if phy.SymbolMajorEnabled() {
-		// Symbol-major: batched demodulation of the whole DATA field, then
-		// per-spectrum equalization. Byte-identical to the branch below.
-		specs, symViews := r.growSpecs(nSym)
-		for n := 0; n < nSym; n++ {
-			s := dataStart + n*phy.SymbolLen
-			symViews[n] = work[s : s+phy.SymbolLen]
-		}
-		if err := phy.DemodulateSymbols(specs, symViews); err != nil {
+	// Batched demodulation of the whole DATA field, then per-spectrum
+	// equalization.
+	specs, symViews := r.growSpecs(nSym)
+	for n := 0; n < nSym; n++ {
+		s := dataStart + n*phy.SymbolLen
+		symViews[n] = work[s : s+phy.SymbolLen]
+	}
+	if err := phy.DemodulateSymbols(specs, symViews); err != nil {
+		return nil, err
+	}
+	for n := 0; n < nSym; n++ {
+		carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
+		csis[n] = r.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
+		if err := r.q.equalizeSpec(carriers[n], csis[n], specs[n], est, n+1, 0); err != nil {
 			return nil, err
-		}
-		for n := 0; n < nSym; n++ {
-			carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			csis[n] = r.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			if err := r.q.equalizeSpec(carriers[n], csis[n], specs[n], est, n+1, 0); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for n := 0; n < nSym; n++ {
-			carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			csis[n] = r.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			s := dataStart + n*phy.SymbolLen
-			if err := r.q.equalize(carriers[n], csis[n], work[s:s+phy.SymbolLen], est, n+1, 0); err != nil {
-				return nil, err
-			}
 		}
 	}
 	if r.dec == nil {

@@ -32,8 +32,9 @@ type Config struct {
 	// JobWorkers is the sweep-executor worker count inside one job
 	// (sim.Sweep.Workers; default 0 = all CPUs).
 	JobWorkers int
-	// Batch is the lock-step batch width handed to sweeps that support it
-	// (core.Config.Batch; results are identical for every value).
+	// Batch is the number of points per sweep work unit handed to sweeps
+	// that support it (core.Config.Batch; the lane width is fixed and
+	// results are identical for every value).
 	Batch int
 	// Clock is the injected monotonic clock (default: a frozen zero clock,
 	// which only costs the job timestamps their meaning).

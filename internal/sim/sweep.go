@@ -32,19 +32,16 @@ type Sweep struct {
 	// counts). The point's X is overwritten with the swept value.
 	RunPoint func(value float64) (measure.Point, error)
 	// RunPointBatch, if set together with BatchSize > 1, evaluates a group of
-	// consecutive swept values in one call (the batched lock-step pipeline)
-	// and returns one point per value, in order. Every group is dispatched
-	// batched: a ragged tail (fewer than BatchSize values) is padded up to
-	// BatchSize by repeating its last value as dummy lanes whose results are
-	// discarded, so RunPointBatch always sees exactly BatchSize values and the
-	// scalar path never runs when batching is configured. BatchSize <= 1
+	// consecutive swept values in one call and returns one point per value,
+	// in order; values is a subslice of Values and must not be modified.
+	// Every group is one work unit of BatchSize values, except a ragged
+	// tail, which holds only the remaining values. BatchSize <= 1
 	// falls back to RunPoint/Run point by point. The resulting series must
 	// not depend on the dispatch: a batch implementation is required to be
-	// bit-identical to its scalar counterpart lane by lane (which is also what
-	// makes dummy-lane padding sound), and each group is one work unit, so
-	// worker-count independence is preserved unchanged.
+	// bit-identical to its scalar counterpart point by point, so neither the
+	// grouping nor the worker count changes the series.
 	RunPointBatch func(values []float64) ([]measure.Point, error)
-	// BatchSize is the group width for RunPointBatch.
+	// BatchSize is the number of values per RunPointBatch work unit.
 	BatchSize int
 	// OnPoint, if set, is called after each point (progress reporting).
 	// Under parallel execution it is still invoked in Values order, for
@@ -119,10 +116,8 @@ type sweepChunk struct {
 }
 
 // chunks partitions Values into work units. Without a usable batch
-// configuration every value is its own unit (the historical behavior). With
-// one, consecutive groups of BatchSize go to RunPointBatch; the ragged tail
-// stays one batched unit too — runChunkInto pads it with dummy lanes — so the
-// scalar path never runs when batching is configured.
+// configuration every value is its own unit. With one, consecutive groups of
+// BatchSize go to RunPointBatch, and the ragged tail is a shorter group.
 func (s *Sweep) chunks() []sweepChunk {
 	n := len(s.Values)
 	if s.RunPointBatch == nil || s.BatchSize <= 1 {
@@ -144,31 +139,19 @@ func (s *Sweep) chunks() []sweepChunk {
 }
 
 // runChunkInto evaluates one work unit into dst (length c.end-c.start, in
-// Values order, X stamped on return). A ragged batched unit is padded up to
-// BatchSize by repeating its last value: the dummy lanes run the full
-// lock-step pipeline and their points are discarded, which is sound because
-// the batch contract makes every lane bit-identical to its scalar run
-// regardless of its batch-mates.
+// Values order, X stamped on return).
 func (s *Sweep) runChunkInto(run func(value float64) (measure.Point, error), c sweepChunk, dst []measure.Point) error {
 	values := s.Values[c.start:c.end]
 	if c.batched {
-		batchVals := values
-		if len(values) < s.BatchSize {
-			batchVals = make([]float64, s.BatchSize)
-			copy(batchVals, values)
-			for i := len(values); i < s.BatchSize; i++ {
-				batchVals[i] = values[len(values)-1]
-			}
-		}
-		pts, err := s.RunPointBatch(batchVals)
+		pts, err := s.RunPointBatch(values)
 		if err != nil {
 			return fmt.Errorf("sim: sweep %q batch at %g: %w", s.Name, values[0], err)
 		}
-		if len(pts) != len(batchVals) {
+		if len(pts) != len(values) {
 			return fmt.Errorf("sim: sweep %q batch at %g returned %d points for %d values",
-				s.Name, values[0], len(pts), len(batchVals))
+				s.Name, values[0], len(pts), len(values))
 		}
-		copy(dst, pts[:len(values)])
+		copy(dst, pts)
 		for i := range dst {
 			dst[i].X = values[i]
 		}

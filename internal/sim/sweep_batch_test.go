@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -51,72 +53,43 @@ func (r *batchRecorder) sweep(values []float64, batchSize, workers int) *Sweep {
 }
 
 // TestSweepBatchDispatch pins the grouping contract: every value is served by
-// RunPointBatch in consecutive groups of exactly BatchSize — the ragged tail
-// is padded with dummy repeats of its last value rather than degrading to the
-// scalar path — and the series is identical to the scalar sweep in value
-// order, for serial and parallel execution alike.
+// RunPointBatch in consecutive groups of BatchSize, a ragged tail group holds
+// exactly its own values, and the series is identical to the scalar sweep in
+// value order, for serial and parallel execution alike.
 func TestSweepBatchDispatch(t *testing.T) {
-	values := Linspace(1, 10, 10)
-	for _, workers := range []int{1, 4} {
-		rec := &batchRecorder{}
-		s := rec.sweep(values, 4, workers)
-		series, err := s.Execute()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(series.Points) != len(values) {
-			t.Fatalf("workers=%d: %d points for %d values", workers, len(series.Points), len(values))
-		}
-		for i, p := range series.Points {
-			want := measure.Point{X: values[i], Y: 3 * values[i], Bits: int(values[i]) + 1}
-			if p != want {
-				t.Errorf("workers=%d point %d: got %+v, want %+v", workers, i, p, want)
-			}
-			if !rec.batched[values[i]] {
-				t.Errorf("workers=%d value %g: served by the scalar path, want batched", workers, values[i])
-			}
-		}
-		if len(rec.groups) != 3 {
-			t.Fatalf("workers=%d: %d batch groups dispatched, want 3", workers, len(rec.groups))
-		}
-		for _, g := range rec.groups {
-			if len(g) != 4 {
-				t.Errorf("workers=%d: batch group of %d values dispatched, want exactly 4", workers, len(g))
-			}
-		}
-	}
-}
-
-// TestSweepBatchRaggedTailPadded pins the padding itself: the tail group is
-// the tail values followed by repeats of the last one, its dummy points are
-// discarded, and a single-value tail still never touches the scalar path.
-func TestSweepBatchRaggedTailPadded(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		values   []float64
-		lastWant []float64
+		name   string
+		values []float64
+		groups [][]float64
 	}{
-		{"tail of two", Linspace(1, 10, 10), []float64{9, 10, 10, 10}},
-		{"tail of one", Linspace(1, 5, 5), []float64{5, 5, 5, 5}},
+		{"full groups", Linspace(1, 8, 8), [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}}},
+		{"tail of two", Linspace(1, 10, 10), [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10}}},
+		{"tail of one", Linspace(1, 5, 5), [][]float64{{1, 2, 3, 4}, {5}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := &batchRecorder{}
-			s := rec.sweep(tc.values, 4, 1)
-			series, err := s.Execute()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(series.Points) != len(tc.values) {
-				t.Fatalf("%d points for %d values — dummy-lane points leaked into the series",
-					len(series.Points), len(tc.values))
-			}
-			last := rec.groups[len(rec.groups)-1]
-			if len(last) != len(tc.lastWant) {
-				t.Fatalf("tail group has %d values, want %d", len(last), len(tc.lastWant))
-			}
-			for i, v := range last {
-				if v != tc.lastWant[i] {
-					t.Fatalf("tail group %v, want %v", last, tc.lastWant)
+			for _, workers := range []int{1, 4} {
+				rec := &batchRecorder{}
+				s := rec.sweep(tc.values, 4, workers)
+				series, err := s.Execute()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(series.Points) != len(tc.values) {
+					t.Fatalf("workers=%d: %d points for %d values", workers, len(series.Points), len(tc.values))
+				}
+				for i, p := range series.Points {
+					v := tc.values[i]
+					if want := (measure.Point{X: v, Y: 3 * v, Bits: int(v) + 1}); p != want {
+						t.Errorf("workers=%d point %d: got %+v, want %+v", workers, i, p, want)
+					}
+					if !rec.batched[v] {
+						t.Errorf("workers=%d value %g: served by the scalar path, want batched", workers, v)
+					}
+				}
+				// Parallel workers may dispatch groups in any order.
+				sort.Slice(rec.groups, func(i, j int) bool { return rec.groups[i][0] < rec.groups[j][0] })
+				if !reflect.DeepEqual(rec.groups, tc.groups) {
+					t.Errorf("workers=%d: dispatched groups %v, want %v", workers, rec.groups, tc.groups)
 				}
 			}
 		})

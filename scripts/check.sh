@@ -43,7 +43,7 @@ go test -race ./...
 # empty run.
 echo "==> kernel dispatch tiers"
 if [ "$(go env GOARCH)" = "amd64" ]; then
-    asm_pat='AsmMatchesGo|Exported.*KernelsMatchRefBothTiers|SetDispatchToggles|GoldenBER(Dispatch|SymbolMajor)Invariant'
+    asm_pat='AsmMatchesGo|Exported.*KernelsMatchRefBothTiers|SetDispatchToggles|GoldenBERDispatchInvariant'
     n="$(go test -run '^$' -list "$asm_pat" ./internal/kernels | grep -c '^Test' || true)"
     if [ "$n" -lt 16 ]; then
         echo "FAIL: internal/kernels lists only $n asm-twin differential tests matching '$asm_pat' (silent skip)" >&2
