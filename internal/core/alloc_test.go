@@ -18,7 +18,7 @@ const packetRunAllocBudget = 24
 // lanedRunAllocBudget is the steady-state budget for one 8-packet
 // Bench.Run, which runs two full 4-packet lane groups: the count one such
 // Run made before packets ran as lanes (121 at 24 Mbit/s). The packet lanes,
-// the batched front end and the deferred batch decode all reuse
+// the batched front end and the DSP receiver all reuse
 // Bench-owned scratch, so lanes must not add allocations.
 const lanedRunAllocBudget = 121
 

@@ -223,6 +223,7 @@ type Bench struct {
 
 	fe       rf.FrontEnd
 	tx       *phy.Transmitter
+	rx       *rxdsp.Receiver
 	irx      *rxdsp.IdealReceiver
 	comp     *channel.Composer
 	emitters []channel.Emitter
@@ -249,15 +250,11 @@ type Bench struct {
 	evm     evmAccum
 
 	// Lanes (see runLanes), used when the bench leads a run: each lane's
-	// waveform buffer and DSP receiver, the batched front end, and the
-	// per-group slices handed to it and to the deferred decode — all reused
-	// across groups and runs.
+	// waveform buffer, the batched front end and the per-group waveform
+	// slice handed to it — all reused across groups and runs.
 	lanes   []packetLane
 	batchFE *rf.BatchReceiver
 	waves   [][]complex128
-	rxs     []*rxdsp.Receiver
-	pkts    []*rxdsp.PacketResult
-	decode  rxdsp.DeferredScratch
 	// laneWidth overrides packetLanes when positive. It exists for the
 	// lane-width invariance tests only.
 	laneWidth int
@@ -267,19 +264,16 @@ type Bench struct {
 	keyContent uint64
 }
 
-// packetLanes is how many lanes go through the behavioral front end and the
-// Viterbi decoder in lock-step. Four lanes overlap the latency-bound AGC,
-// biquad and trellis recurrences while the lane working set stays a few
-// frames.
+// packetLanes is how many lanes go through the behavioral front end in
+// lock-step. Four lanes overlap the latency-bound AGC and biquad recurrences
+// while the lane working set stays a few frames.
 const packetLanes = 4
 
 // packetLane is one (bench, packet) slot of a runLanes group.
 type packetLane struct {
-	bench   int             // the lane's bench, as an index into the run's benches
-	wave    []complex128    // the packet's waveform at the prefix boundary
-	refBits []byte          // the packet's reference payload bits
-	rx      *rxdsp.Receiver // the lane's DSP receiver (nil with ideal RX timing)
-	rxErr   error           // the lane's Receive error
+	bench   int          // the lane's bench, as an index into the run's benches
+	wave    []complex128 // the packet's waveform at the prefix boundary
+	refBits []byte       // the packet's reference payload bits
 }
 
 // NewBench validates the scenario.
@@ -604,9 +598,9 @@ func (b *Bench) boundary(os int) prefixBoundary {
 }
 
 // groupWidth is the number of lanes runLanes pushes through the front end
-// and the Viterbi decoder together. Only antenna-boundary packets
-// on the behavioral front end batch (rf.BatchReceiver); every other boundary
-// and front end runs one packet per group.
+// together. Only antenna-boundary packets on the behavioral front end batch
+// (rf.BatchReceiver); every other boundary and front end runs one packet per
+// group.
 func (b *Bench) groupWidth(boundary prefixBoundary) int {
 	switch {
 	case boundary != prefixAntenna || b.cfg.FrontEnd != FrontEndBehavioral:
@@ -768,18 +762,18 @@ func (b *Bench) startRun(mode phy.Mode) {
 // (up to packetLanes at the behavioral antenna boundary, one elsewhere).
 //
 // A group produces every lane's prefix and suffix noise, each bench's
-// packets in order; runs the front end once for all lanes (rf.BatchReceiver,
-// built from the lead bench's front end); equalizes each lane on its own DSP
-// receiver and decodes the lanes' DATA fields in one lock-step Viterbi pass
-// (rxdsp.DecodeDeferredBatch). Outcomes are counted into each lane's own
-// bench in lane order. A bench that reaches its TargetErrors drops its later
-// lanes, including any already in the group, while the other benches carry
-// on. Every bench's Result is therefore bit-identical to running it alone,
-// at every group width.
+// packets in order, and runs the front end once for all lanes
+// (rf.BatchReceiver, built from the lead bench's front end). Then, one lane
+// at a time in lane order, the lead bench's DSP receiver receives and
+// decodes the lane and its outcome is counted into the lane's own bench. A
+// bench that reaches its TargetErrors skips its later lanes, including any
+// already in the group, while the other benches carry on. Every bench's
+// Result is therefore bit-identical to running it alone, at every group
+// width.
 //
 // Several benches share one run only when they share one pipeline shape and
-// front end (batchableConfigs): the lead bench's front end, lane receivers
-// and boundary serve them all.
+// front end (batchableConfigs): the lead bench's front end, DSP receiver and
+// boundary serve them all.
 func runLanes(benches []*Bench, results []*Result) error {
 	lead := benches[0]
 	os := lead.oversample()
@@ -801,7 +795,10 @@ func runLanes(benches []*Bench, results []*Result) error {
 	boundary := lead.boundary(os)
 	packets := lead.cfg.Packets
 	width := min(lead.groupWidth(boundary), packets*len(benches))
-	lead.growLanes(width, width > 1)
+	for len(lead.lanes) < width {
+		lead.lanes = append(lead.lanes, packetLane{})
+		lead.waves = append(lead.waves, nil)
+	}
 
 	// (p, i) is the next lane: packet p of benches[i].
 	p, i := 0, 0
@@ -827,59 +824,20 @@ func runLanes(benches []*Bench, results []*Result) error {
 		if n == 0 {
 			break
 		}
-		lanes := lead.lanes[:n]
 		basebands := lead.frontEnd(lead.waves[:n], boundary)
-
-		pkts := lead.pkts[:n]
-		for k := range lanes {
-			ln := &lanes[k]
-			pkts[k], ln.rxErr = benches[ln.bench].receiveDSP(ln.rx, basebands[k], mode)
-		}
-		// One lock-step Viterbi pass over every deferred lane; a lane's
-		// decode error is exactly the error its eager Receive would have
-		// returned. Eagerly decoded lanes are skipped.
-		derrs := rxdsp.DecodeDeferredBatch(lead.rxs[:n], pkts, &lead.decode)
-		for k := range lanes {
-			ln := &lanes[k]
+		for k, ln := range lead.lanes[:n] {
 			b, res := benches[ln.bench], results[ln.bench]
 			if b.stopped(res) {
 				continue // a later packet of a bench that stopped in this group
 			}
-			rxErr := ln.rxErr
-			if rxErr == nil {
-				rxErr = derrs[k]
-			}
-			b.accountPacket(pkts[k], rxErr, ln.refBits, mode, res)
+			pkt, err := lead.receiveDSP(basebands[k], mode)
+			b.accountPacket(pkt, err, ln.refBits, mode, res)
 		}
 	}
 	for i, b := range benches {
 		b.evm.finish(results[i])
 	}
 	return nil
-}
-
-// growLanes readies the first width packet lanes. Buffers and receivers
-// persist across Runs; deferData selects whether the lanes' receivers leave
-// the DATA decode to the group's lock-step Viterbi pass.
-func (b *Bench) growLanes(width int, deferData bool) {
-	for len(b.lanes) < width {
-		var rx *rxdsp.Receiver
-		if !b.cfg.UseIdealRxTiming {
-			rx = rxdsp.NewReceiver()
-			rx.HardDecisions = b.cfg.HardDecisions
-			rx.DisableCSI = b.cfg.DisableCSI
-			rx.ReuseBuffers = true
-		}
-		b.lanes = append(b.lanes, packetLane{rx: rx})
-		b.rxs = append(b.rxs, rx)
-		b.waves = append(b.waves, nil)
-		b.pkts = append(b.pkts, nil)
-	}
-	for _, rx := range b.rxs {
-		if rx != nil {
-			rx.DeferDataDecode = deferData
-		}
-	}
 }
 
 // frontEnd runs the front-end suffix that follows the prefix boundary over
@@ -929,17 +887,25 @@ func (e *evmAccum) finish(res *Result) {
 	}
 }
 
-// receiveDSP runs the DSP receiver over one packet's baseband: rx, or the
-// genie-timed ideal receiver when the scenario asks for it.
-func (b *Bench) receiveDSP(rx *rxdsp.Receiver, baseband []complex128, mode phy.Mode) (*rxdsp.PacketResult, error) {
+// receiveDSP runs the DSP receiver over one packet's baseband: the
+// synchronizing receiver, or the genie-timed ideal receiver when the
+// scenario asks for it. Either is built on first use and reused; the result
+// is valid until the next call.
+func (b *Bench) receiveDSP(baseband []complex128, mode phy.Mode) (*rxdsp.PacketResult, error) {
 	if b.cfg.UseIdealRxTiming {
 		if b.irx == nil {
 			b.irx = &rxdsp.IdealReceiver{Mode: mode, PSDULen: b.cfg.PSDULen, ReuseBuffers: true}
 		}
 		return b.irx.Receive(baseband, leadInSamples)
 	}
-	rx.Reset()
-	return rx.Receive(baseband, 0)
+	if b.rx == nil {
+		b.rx = rxdsp.NewReceiver()
+		b.rx.HardDecisions = b.cfg.HardDecisions
+		b.rx.DisableCSI = b.cfg.DisableCSI
+		b.rx.ReuseBuffers = true
+	}
+	b.rx.Reset()
+	return b.rx.Receive(baseband, 0)
 }
 
 // accountPacket folds one packet's receive outcome into the result and the

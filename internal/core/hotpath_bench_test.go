@@ -46,7 +46,7 @@ func BenchmarkPacketBehavioral54(b *testing.B) { runPacketBench(b, 54) }
 
 // BenchmarkRun8PacketsBehavioral24 runs an 8-packet point of the packet
 // scenario per op — two full 4-packet lane groups through the batched front
-// end and Viterbi — and reports ns per packet alongside ns/op. The single-
+// end — and reports ns per packet alongside ns/op. The single-
 // packet benchmarks above run one width-1 group and never engage the lanes.
 func BenchmarkRun8PacketsBehavioral24(b *testing.B) {
 	cfg := packetBenchConfig(24)

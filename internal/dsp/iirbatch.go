@@ -2,23 +2,21 @@ package dsp
 
 import "wlansim/internal/kernels"
 
-// IIRBatch drives one IIR cascade over B lanes in lock-step. The scalar
-// cascade's biquad recurrence is latency-bound — each sample's update waits
-// on the previous sample's — so interleaving B independent lanes through
-// kernels.BiquadBatch fills the pipeline the scalar section leaves idle.
+// IIRBatch drives one IIR cascade over B planar lanes in lock-step. The
+// scalar cascade's biquad recurrence is latency-bound — each sample's update
+// waits on the previous sample's — so interleaving B independent lanes
+// through kernels.BiquadBatch fills the pipeline the scalar section leaves
+// idle.
 //
 // The batch object owns its per-section, per-lane delay states, separate
 // from the scalar cascade's (the design object is shared read-only): lane b
-// of Process is bit-identical to running f.Process on that lane alone from
-// the same (zero or carried) state — the gain pass and every section apply
-// the same per-lane operation sequence, and lanes never mix.
+// of ProcessPlanar is bit-identical to running f.Process on that lane alone
+// from the same (zero or carried) state — the gain pass and every section
+// apply the same per-lane operation sequence, and lanes never mix.
 type IIRBatch struct {
 	f *IIR
 	// s1r[sec][lane] etc. hold lane states per section.
 	s1r, s1i, s2r, s2i [][]float64
-	// re[lane]/im[lane] are the planar working planes, converted once per
-	// frame at entry and exit (the kernels layer is planar).
-	re, im [][]float64
 }
 
 // NewIIRBatch builds the batch driver for the cascade f. The section
@@ -40,85 +38,39 @@ func (b *IIRBatch) Reset() {
 	}
 }
 
-// grow sizes the per-section state arrays and planar planes for B lanes of
-// n samples, preserving existing lane states on no-op grows.
-func (b *IIRBatch) grow(lanes, n int) {
+// grow sizes the per-section state arrays for B lanes, preserving existing
+// lane states.
+func (b *IIRBatch) grow(lanes int) {
 	secs := len(b.f.Sections)
-	if len(b.s1r) < secs || (secs > 0 && len(b.s1r[0]) < lanes) {
-		grown := func(old [][]float64) [][]float64 {
-			out := make([][]float64, secs)
-			for s := range out {
-				out[s] = make([]float64, lanes)
-				if s < len(old) {
-					copy(out[s], old[s])
-				}
-			}
-			return out
-		}
-		b.s1r = grown(b.s1r)
-		b.s1i = grown(b.s1i)
-		b.s2r = grown(b.s2r)
-		b.s2i = grown(b.s2i)
-	}
-	if len(b.re) < lanes {
-		re := make([][]float64, lanes)
-		im := make([][]float64, lanes)
-		copy(re, b.re)
-		copy(im, b.im)
-		b.re, b.im = re, im
-	}
-	for l := 0; l < lanes; l++ {
-		if cap(b.re[l]) < n {
-			b.re[l] = make([]float64, n)
-			b.im[l] = make([]float64, n)
-		}
-		b.re[l] = b.re[l][:n]
-		b.im[l] = b.im[l][:n]
-	}
-}
-
-// Process filters B equal-length lanes in place through the cascade,
-// lock-step per section. Lane b is bit-identical to f.Process(lanes[b])
-// from the same delay state.
-func (b *IIRBatch) Process(lanes [][]complex128) {
-	if len(lanes) == 0 || len(lanes[0]) == 0 {
+	if len(b.s1r) >= secs && (secs == 0 || len(b.s1r[0]) >= lanes) {
 		return
 	}
-	L, n := len(lanes), len(lanes[0])
-	b.grow(L, n)
-
-	for l := 0; l < L; l++ {
-		re, im := b.re[l], b.im[l]
-		for i, v := range lanes[l] {
-			re[i] = real(v)
-			im[i] = imag(v)
+	grown := func(old [][]float64) [][]float64 {
+		out := make([][]float64, secs)
+		for s := range out {
+			out[s] = make([]float64, lanes)
+			if s < len(old) {
+				copy(out[s], old[s])
+			}
 		}
+		return out
 	}
-
-	b.ProcessPlanar(b.re[:L], b.im[:L])
-
-	for l := 0; l < L; l++ {
-		re, im := b.re[l], b.im[l]
-		lane := lanes[l]
-		for i := range lane {
-			lane[i] = complex(re[i], im[i])
-		}
-	}
+	b.s1r = grown(b.s1r)
+	b.s1i = grown(b.s1i)
+	b.s2r = grown(b.s2r)
+	b.s2i = grown(b.s2i)
 }
 
-// ProcessPlanar is Process for callers that already hold planar lanes (the
-// batched front end keeps its lanes planar across consecutive stages and
-// converts only at the ends). The gain pass runs in place over the planes —
-// the same per-sample multiply the complex entry point folds into its
-// conversion, so both entry points stay bit-identical to the scalar cascade.
+// ProcessPlanar filters B equal-length planar lanes (re[b], im[b]) in place
+// through the cascade, lock-step per section. Lane b is bit-identical to
+// f.Process on that lane's complex samples from the same delay state: the
+// gain pass is the same per-sample multiply, applied to each plane.
 func (b *IIRBatch) ProcessPlanar(re, im [][]float64) {
 	if len(re) == 0 || len(re[0]) == 0 {
 		return
 	}
 	L := len(re)
-	if len(b.s1r) < len(b.f.Sections) || (len(b.f.Sections) > 0 && len(b.s1r[0]) < L) {
-		b.grow(L, 0)
-	}
+	b.grow(L)
 
 	g := b.f.Gain
 	if g == 0 {

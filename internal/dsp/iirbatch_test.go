@@ -6,8 +6,28 @@ import (
 	"testing"
 )
 
+// processLanes runs complex lanes through the batch's planar entry point,
+// the way the batched front end feeds it, and writes the result back.
+func processLanes(b *IIRBatch, lanes [][]complex128) {
+	re := make([][]float64, len(lanes))
+	im := make([][]float64, len(lanes))
+	for l, lane := range lanes {
+		re[l] = make([]float64, len(lane))
+		im[l] = make([]float64, len(lane))
+		for i, v := range lane {
+			re[l][i], im[l][i] = real(v), imag(v)
+		}
+	}
+	b.ProcessPlanar(re, im)
+	for l, lane := range lanes {
+		for i := range lane {
+			lane[i] = complex(re[l][i], im[l][i])
+		}
+	}
+}
+
 // TestIIRBatchMatchesSequential pins lane b of the batched cascade
-// bit-identical to IIR.Process on that lane alone, across batch widths,
+// (ProcessPlanar) bit-identical to IIR.Process on that lane alone, across batch widths,
 // filter designs (odd/even Chebyshev order, DC block with its non-unity
 // gain) and multi-frame streaming state carry.
 func TestIIRBatchMatchesSequential(t *testing.T) {
@@ -48,7 +68,7 @@ func TestIIRBatchMatchesSequential(t *testing.T) {
 						want[l][i] = v
 					}
 				}
-				batch.Process(got)
+				processLanes(batch, got)
 				for l := 0; l < B; l++ {
 					seq[l].Process(want[l])
 					for i := range got[l] {
@@ -71,7 +91,6 @@ func TestIIRBatchReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(32))
 	const B, n = 4, 128
 	mk := func(seed int64) [][]complex128 {
 		r := rand.New(rand.NewSource(seed))
@@ -84,18 +103,17 @@ func TestIIRBatchReset(t *testing.T) {
 		}
 		return lanes
 	}
-	_ = rng
 
 	batch := NewIIRBatch(f)
 	warm := mk(1)
-	batch.Process(warm)
+	processLanes(batch, warm)
 	batch.Reset()
 	second := mk(2)
-	batch.Process(second)
+	processLanes(batch, second)
 
 	fresh := NewIIRBatch(f)
 	want := mk(2)
-	fresh.Process(want)
+	processLanes(fresh, want)
 
 	for l := 0; l < B; l++ {
 		for i := 0; i < n; i++ {

@@ -1,7 +1,5 @@
 package kernels
 
-import "math"
-
 // The batch kernels push B independent lanes — packets, or equal-config
 // sweep points — through one kernel invocation in lock-step. The contract is
 // the same bit-exactness bar as the scalar kernels, stated lane-wise: lane b
@@ -12,76 +10,13 @@ import "math"
 // per-lane operation sequence as the scalar kernel", which the differential
 // batch test suite pins on adversarial (NaN/±Inf) inputs as well.
 //
-// Two kernels do genuinely new lock-step work. ACSRunBatch runs one
-// trellis-step loop updating B metric planes, keeping the branch-sign tables
-// and decision machinery hot across lanes. BiquadBatch lane-interleaves a
-// latency-bound IIR recurrence: the scalar biquad's ~3-add critical path per
-// sample leaves the pipeline mostly idle, and B independent recurrences fill
-// it (measured ~2x at B=8). The FIR and mixer batch kernels are
-// amortization APIs: taps and LO planes are loaded once per batch and shared
-// across lanes, which is what lets the caller materialize one stochastic LO
-// trajectory per batch instead of one per lane.
-
-// ACSRunBatch advances B independent trellises len(decisions[b]) steps in
-// lock-step: one step loop updates all B metric planes before moving to step
-// t+1. Lane b consumes soft[b][2t], soft[b][2t+1] at step t and stores its
-// survivor bits in decisions[b][t]. All lanes must have the same step count.
-// metric[b]/scratch[b] are lane b's ping-pong banks and clean is a
-// caller-owned scratch of len B (contents ignored on entry); after the run,
-// lane b's final metrics are in metric[b] when the step count is even and in
-// scratch[b] when odd — the same parity ACSRun's returned pointer encodes.
-//
-// Each lane is bit-identical to ACSRun on that lane alone: the per-step
-// body, including the non-finite fallback to ACSStepRef and its permanent
-// per-lane latching, is the same code in the same order; steps of other
-// lanes touch disjoint banks.
-//
-//lint:hotpath
-func ACSRunBatch(decisions [][]uint64, soft [][]float64, metric, scratch []*[64]float64, clean []bool) {
-	if len(decisions) == 0 {
-		return
-	}
-	steps := len(decisions[0])
-	for b := range clean {
-		clean[b] = true
-	}
-	for t := 0; t < steps; t++ {
-		for b := range decisions {
-			cur, next := metric[b], scratch[b]
-			if t&1 == 1 {
-				cur, next = next, cur
-			}
-			mA, mB := soft[b][2*t], soft[b][2*t+1]
-			if clean[b] && !math.IsNaN(mA) && !math.IsInf(mA, 0) && !math.IsNaN(mB) && !math.IsInf(mB, 0) {
-				decisions[b][t] = acsStep(next, cur, mA, mB)
-			} else {
-				clean[b] = false
-				decisions[b][t] = ACSStepRef(next, cur, mA, mB)
-			}
-		}
-	}
-}
-
-// FIRRealBatch filters B planar extended inputs with one shared real tap
-// set, loading the taps once per batch. Lane b is bit-identical to
-// FIRReal(yr[b], yi[b], xr[b], xi[b], taps).
-//
-//lint:hotpath
-func FIRRealBatch(yr, yi, xr, xi [][]float64, taps []float64) {
-	for b := range yr {
-		FIRReal(yr[b], yi[b], xr[b], xi[b], taps)
-	}
-}
-
-// FIRCplxBatch filters B planar extended inputs with one shared complex tap
-// set. Lane b is bit-identical to FIRCplx(yr[b], yi[b], xr[b], xi[b], tr, ti).
-//
-//lint:hotpath
-func FIRCplxBatch(yr, yi, xr, xi [][]float64, tr, ti []float64) {
-	for b := range yr {
-		FIRCplx(yr[b], yi[b], xr[b], xi[b], tr, ti)
-	}
-}
+// BiquadBatch does genuinely new lock-step work: it lane-interleaves a
+// latency-bound IIR recurrence, whose scalar ~3-add critical path per sample
+// leaves the pipeline mostly idle, and B independent recurrences fill it
+// (measured ~2x at B=8). The mixer batch kernels are amortization APIs: the
+// LO planes are loaded once per batch and shared across lanes, which is what
+// lets the caller materialize one stochastic LO trajectory per batch instead
+// of one per lane.
 
 // MixApplyLOBatch applies the mixer frame pass to B planar frames sharing
 // one materialized LO trajectory — the amortization that lets a batched

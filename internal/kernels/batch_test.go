@@ -54,100 +54,6 @@ func bitsEqualLane(t *testing.T, name string, lane int, got, want []float64) {
 	}
 }
 
-// TestACSRunBatchMatchesSequential runs the lock-step batched trellis and B
-// independent sequential ACSRun calls over the same per-lane streams,
-// asserting bit equality of every decision word and final metric, with the
-// final-bank parity rule checked against ACSRun's returned pointer.
-func TestACSRunBatchMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, B := range batchWidths {
-		for trial := 0; trial < 40; trial++ {
-			steps := 1 + rng.Intn(96)
-			adversarial := trial%2 == 1
-
-			soft := makePlanes(B, 2*steps)
-			fillPlanes(rng, soft, adversarial)
-
-			decBatch := make([][]uint64, B)
-			decSeq := make([][]uint64, B)
-			metric := make([]*[64]float64, B)
-			scratch := make([]*[64]float64, B)
-			clean := make([]bool, B)
-			finalSeq := make([]*[64]float64, B)
-			for b := 0; b < B; b++ {
-				decBatch[b] = make([]uint64, steps)
-				decSeq[b] = make([]uint64, steps)
-				metric[b] = new([64]float64)
-				scratch[b] = new([64]float64)
-				acsInitBank(metric[b])
-
-				var m, s [64]float64
-				acsInitBank(&m)
-				finalSeq[b] = &[64]float64{}
-				*finalSeq[b] = *ACSRun(decSeq[b], soft[b], &m, &s)
-			}
-
-			ACSRunBatch(decBatch, soft, metric, scratch, clean)
-
-			for b := 0; b < B; b++ {
-				for i := range decBatch[b] {
-					if decBatch[b][i] != decSeq[b][i] {
-						t.Fatalf("B=%d trial %d lane %d step %d: decision %#x != sequential %#x",
-							B, trial, b, i, decBatch[b][i], decSeq[b][i])
-					}
-				}
-				finalBatch := metric[b]
-				if steps%2 == 1 {
-					finalBatch = scratch[b]
-				}
-				bitsEqualLane(t, "metric", b, finalBatch[:], finalSeq[b][:])
-			}
-		}
-	}
-}
-
-// TestFIRBatchMatchesSequential checks both FIR batch kernels lane-for-lane
-// against per-lane scalar calls, over random tap counts including the
-// single-tap degenerate shape and unroll tails, with adversarial values.
-func TestFIRBatchMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, B := range batchWidths {
-		for trial := 0; trial < 20; trial++ {
-			tapN := 1 + rng.Intn(24)
-			n := 1 + rng.Intn(70)
-			extN := n + tapN - 1
-			adversarial := trial%2 == 1
-
-			taps := make([]float64, tapN)
-			ti := make([]float64, tapN)
-			acsRandSoft(rng, taps, adversarial)
-			acsRandSoft(rng, ti, adversarial)
-
-			xr := makePlanes(B, extN)
-			xi := makePlanes(B, extN)
-			fillPlanes(rng, xr, adversarial)
-			fillPlanes(rng, xi, adversarial)
-
-			gr, gi := makePlanes(B, n), makePlanes(B, n)
-			wr, wi := make([]float64, n), make([]float64, n)
-
-			FIRRealBatch(gr, gi, xr, xi, taps)
-			for b := 0; b < B; b++ {
-				FIRReal(wr, wi, xr[b], xi[b], taps)
-				bitsEqualLane(t, "fir-real re", b, gr[b], wr)
-				bitsEqualLane(t, "fir-real im", b, gi[b], wi)
-			}
-
-			FIRCplxBatch(gr, gi, xr, xi, taps, ti)
-			for b := 0; b < B; b++ {
-				FIRCplx(wr, wi, xr[b], xi[b], taps, ti)
-				bitsEqualLane(t, "fir-cplx re", b, gr[b], wr)
-				bitsEqualLane(t, "fir-cplx im", b, gi[b], wi)
-			}
-		}
-	}
-}
-
 // TestMixBatchMatchesSequential checks the mixer frame batch kernels, with
 // and without a shared LO trajectory, lane-for-lane against the scalar
 // kernels, including adversarial lane contents.
@@ -246,9 +152,6 @@ func TestBiquadBatchMatchesRef(t *testing.T) {
 // TestBatchKernelsEmptyBatch pins the B=0 degenerate shape: a no-op, not a
 // panic, so ragged dispatch logic upstream can stay branch-free.
 func TestBatchKernelsEmptyBatch(t *testing.T) {
-	ACSRunBatch(nil, nil, nil, nil, nil)
-	FIRRealBatch(nil, nil, nil, nil, []float64{1})
-	FIRCplxBatch(nil, nil, nil, nil, []float64{1}, []float64{0})
 	MixApplyLOBatch(nil, nil, nil, nil, 1, 0, 0, 0, 1, 0, 0)
 	MixApplyBatch(nil, nil, 1, 0, 0, 0, 1, 0, 0)
 	BiquadBatch(nil, nil, 1, 0, 0, 0, 0, nil, nil, nil, nil)

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// Fuzz differential targets for the two kernels with the widest input
-// domains: the fuzzer owns the raw float64 bit patterns, so it explores
-// NaN payloads, infinities, denormals and huge magnitudes that the seeded
-// Gaussian tests only sample. Both targets assert the unrolled kernel is
+// Fuzz differential targets for the kernels with the widest input domains:
+// the fuzzer owns the raw float64 bit patterns, so it explores NaN
+// payloads, infinities, denormals and huge magnitudes that the seeded
+// Gaussian tests only sample. Every target asserts the unrolled kernel is
 // bit-identical to its retained reference (modulo NaN payload bits, which
 // IEEE-754 leaves unspecified — see bitsEqual). Seed corpora are checked
 // in under testdata/fuzz/<FuzzName>/; scripts/check.sh runs each target
@@ -67,148 +67,6 @@ func FuzzACSRun(f *testing.F) {
 			}
 		}
 		bitsEqual(t, "metric", gm[:], wm[:])
-	})
-}
-
-// FuzzACSBatch splits the fuzzer payload across a fuzzer-chosen batch width
-// and asserts the lock-step batched trellis is bit-identical, lane for lane,
-// to independent sequential ACSRun calls — decisions and final metric banks
-// both, including lanes that trip the non-finite reference fallback while
-// their batch-mates stay on the fast path.
-func FuzzACSBatch(f *testing.F) {
-	seed := func(width byte, vals ...float64) []byte {
-		b := make([]byte, 1+8*len(vals))
-		b[0] = width
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(b[1+8*i:], math.Float64bits(v))
-		}
-		return b
-	}
-	f.Add(seed(2, 1.5, -0.5, 0.25, 2.0, -1, 1, 0.5, -2))
-	f.Add(seed(4, math.Inf(1), 1, -1, math.NaN(), 3, -3, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8))
-	f.Add(seed(1, 0, 0, math.SmallestNonzeroFloat64, -1e308))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 1 {
-			return
-		}
-		B := int(data[0])%16 + 1
-		vals := fuzzFloats(data[1:], B*2*64)
-		steps := len(vals) / (2 * B)
-		if steps == 0 {
-			return
-		}
-
-		soft := make([][]float64, B)
-		decSeq := make([][]uint64, B)
-		finalSeq := make([][64]float64, B)
-		for b := 0; b < B; b++ {
-			soft[b] = vals[b*2*steps : (b+1)*2*steps]
-			decSeq[b] = make([]uint64, steps)
-
-			var m, s [64]float64
-			acsInitBank(&m)
-			finalSeq[b] = *ACSRun(decSeq[b], soft[b], &m, &s)
-		}
-
-		// Run the batched trellis under both kernel tiers: decisions and
-		// final banks must be bit-identical to sequential either way.
-		prev := DispatchName() != "purego"
-		defer SetDispatch(prev)
-		for _, simd := range []bool{true, false} {
-			SetDispatch(simd)
-			decBatch := make([][]uint64, B)
-			metric := make([]*[64]float64, B)
-			scratch := make([]*[64]float64, B)
-			clean := make([]bool, B)
-			for b := 0; b < B; b++ {
-				decBatch[b] = make([]uint64, steps)
-				metric[b] = new([64]float64)
-				scratch[b] = new([64]float64)
-				acsInitBank(metric[b])
-			}
-
-			ACSRunBatch(decBatch, soft, metric, scratch, clean)
-
-			for b := 0; b < B; b++ {
-				for i := range decBatch[b] {
-					if decBatch[b][i] != decSeq[b][i] {
-						t.Fatalf("tier %s lane %d decision word %d: %#x != sequential %#x",
-							DispatchName(), b, i, decBatch[b][i], decSeq[b][i])
-					}
-				}
-				final := metric[b]
-				if steps%2 == 1 {
-					final = scratch[b]
-				}
-				bitsEqual(t, "metric", final[:], finalSeq[b][:])
-			}
-		}
-	})
-}
-
-// FuzzFIRBatch splits the payload into a shared real tap set and a
-// fuzzer-chosen number of lanes, asserting the batched FIR equals per-lane
-// sequential FIRReal calls bit for bit across tap counts, lane widths and
-// raw float64 bit patterns.
-func FuzzFIRBatch(f *testing.F) {
-	f.Add([]byte{3, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
-	f.Add(append([]byte{1, 1}, make([]byte, 8*8)...))
-	f.Add(append([]byte{24, 3}, make([]byte, 8*200)...))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
-			return
-		}
-		tapN := int(data[0])%24 + 1
-		B := int(data[1])%16 + 1
-		vals := fuzzFloats(data[2:], tapN+B*(tapN-1+48))
-		if len(vals) < tapN+B*tapN {
-			return // need taps plus one output sample per lane
-		}
-		taps := vals[:tapN]
-		rest := vals[tapN:]
-		extN := len(rest) / B
-		n := extN - (tapN - 1)
-		if n < 1 {
-			return
-		}
-
-		xr := make([][]float64, B)
-		xi := make([][]float64, B)
-		gr := make([][]float64, B)
-		gi := make([][]float64, B)
-		for b := 0; b < B; b++ {
-			lane := rest[b*extN : (b+1)*extN]
-			xr[b] = lane
-			// Reuse the same plane reversed for the imaginary part so the
-			// payload budget is spent on distinct real planes across lanes.
-			rev := make([]float64, extN)
-			for i := range rev {
-				rev[i] = lane[extN-1-i]
-			}
-			xi[b] = rev
-			gr[b] = make([]float64, n)
-			gi[b] = make([]float64, n)
-		}
-
-		// Sequential oracle once, then the batched kernel under both tiers:
-		// per-lane outputs must match bit for bit on each.
-		wr := make([][]float64, B)
-		wi := make([][]float64, B)
-		for b := 0; b < B; b++ {
-			wr[b] = make([]float64, n)
-			wi[b] = make([]float64, n)
-			FIRReal(wr[b], wi[b], xr[b], xi[b], taps)
-		}
-		prev := DispatchName() != "purego"
-		defer SetDispatch(prev)
-		for _, simd := range []bool{true, false} {
-			SetDispatch(simd)
-			FIRRealBatch(gr, gi, xr, xi, taps)
-			for b := 0; b < B; b++ {
-				bitsEqual(t, "re", gr[b], wr[b])
-				bitsEqual(t, "im", gi[b], wi[b])
-			}
-		}
 	})
 }
 

@@ -263,24 +263,6 @@ func DecodeDataCarriers(carriers [][]complex128, csi [][]float64, mode Mode, psd
 // DecodeDataCarriers is the scratch-reusing form of the package function of
 // the same name.
 func (d *PacketDecoder) DecodeDataCarriers(carriers [][]complex128, csi [][]float64, mode Mode, psduLen int) ([]byte, error) {
-	dep, err := d.prepareSoft(carriers, csi, mode, psduLen)
-	if err != nil {
-		return nil, err
-	}
-	decoded, err := d.vit.DecodeSoftInto(d.decoded, dep)
-	if err != nil {
-		return nil, err
-	}
-	d.decoded = decoded
-	return d.finishDecoded(decoded, psduLen)
-}
-
-// prepareSoft runs the pre-Viterbi half of the soft receive chain — CSI
-// weighted demapping, deinterleaving and depuncturing — and returns the
-// depunctured metric stream, kept in the decoder's scratch until the next
-// prepare or decode call. Splitting here lets the batched decode push many
-// packets' streams through one lock-step Viterbi pass.
-func (d *PacketDecoder) prepareSoft(carriers [][]complex128, csi [][]float64, mode Mode, psduLen int) ([]float64, error) {
 	if psduLen < 1 {
 		return nil, fmt.Errorf("phy: psduLen %d invalid", psduLen)
 	}
@@ -303,12 +285,7 @@ func (d *PacketDecoder) prepareSoft(carriers [][]complex128, csi [][]float64, mo
 		soft = soft[:len(soft)+len(chunk)]
 	}
 	d.soft = soft
-	dep, err := DepunctureAppend(d.dep[:0], soft, mode.CodeRate)
-	if err != nil {
-		return nil, err
-	}
-	d.dep = dep
-	return dep, nil
+	return d.finish(soft, mode, psduLen)
 }
 
 // DecodeDataCarriersHard is the hard-decision variant of
@@ -372,11 +349,6 @@ func (d *PacketDecoder) finish(soft []float64, mode Mode, psduLen int) ([]byte, 
 		return nil, err
 	}
 	d.decoded = decoded
-	return d.finishDecoded(decoded, psduLen)
-}
-
-// finishDecoded descrambles the Viterbi output and packs the PSDU bytes.
-func (d *PacketDecoder) finishDecoded(decoded []byte, psduLen int) ([]byte, error) {
 	need := ServiceBits + psduLen*8
 	if len(decoded) < need {
 		return nil, fmt.Errorf("phy: decoded %d bits, need %d", len(decoded), need)

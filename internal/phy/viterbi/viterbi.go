@@ -70,8 +70,6 @@ type Decoder struct {
 	decisions []uint64
 	// soft is scratch for DecodeHard's metric conversion.
 	soft []float64
-	// batch is the lane-parallel scratch DecodeSoftBatch ping-pongs.
-	batch batchScratch
 }
 
 // New returns a decoder for a terminated (tail-bited-to-zero) trellis.

@@ -2,31 +2,29 @@ package randutil
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
 // TestFillNormPairsMatchesPerPacketRestart is the batched-RNG property test:
-// one Restarter restart plus one materialized draw sequence must reproduce,
-// bit for bit, the draws each of B per-packet-restarted lanes would make on
-// its own. This is the exactness argument for sharing one noise/LO plane
-// across a batch of equal-config lanes.
+// one Rewind plus one materialized draw sequence must reproduce, bit for
+// bit, the draws each of B per-packet-rewound lanes would make on its own.
+// This is the exactness argument for sharing one noise/LO plane across a
+// batch of equal-config lanes.
 func TestFillNormPairsMatchesPerPacketRestart(t *testing.T) {
 	const seed = 103 // a mixer noise-stream seed
 	const n = 257
-	rng := rand.New(rand.NewSource(seed))
-	rst := New(rng, seed)
+	rng := NewRandDirect(seed)
 
-	// The batch path: restart once, materialize once.
-	rst.Restart()
+	// The batch path: rewind once, materialize once.
+	rng.Rewind()
 	re := make([]float64, n)
 	im := make([]float64, n)
-	FillNormPairs(rng, re, im)
+	rng.FillNormPairs(re, im)
 
-	// The sequential path: every lane restarts the same stream and draws
-	// per sample. Every lane must see exactly the materialized planes.
+	// The sequential path: every lane rewinds the same stream and draws per
+	// sample. Every lane must see exactly the materialized planes.
 	for lane := 0; lane < 8; lane++ {
-		rst.Restart()
+		rng.Rewind()
 		for i := 0; i < n; i++ {
 			d1, d2 := rng.NormFloat64(), rng.NormFloat64()
 			if math.Float64bits(d1) != math.Float64bits(re[i]) ||
@@ -41,20 +39,18 @@ func TestFillNormPairsMatchesPerPacketRestart(t *testing.T) {
 
 // TestFillNormPairsAdvancesStream pins that materializing consumes exactly
 // 2n draws: the next draw after FillNormPairs equals the 2n+1-th draw of a
-// freshly restarted stream, so interleaving materialized frames with scalar
+// freshly rewound stream, so interleaving materialized frames with scalar
 // draws preserves the stream position.
 func TestFillNormPairsAdvancesStream(t *testing.T) {
 	const seed, n = 42, 63
-	rng := rand.New(rand.NewSource(seed))
-	rst := New(rng, seed)
+	rng := NewRandDirect(seed)
 
-	rst.Restart()
 	re := make([]float64, n)
 	im := make([]float64, n)
-	FillNormPairs(rng, re, im)
+	rng.FillNormPairs(re, im)
 	next := rng.NormFloat64()
 
-	rst.Restart()
+	rng.Rewind()
 	for i := 0; i < 2*n; i++ {
 		rng.NormFloat64()
 	}

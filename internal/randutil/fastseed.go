@@ -1,18 +1,73 @@
+// Package randutil provides math/rand-compatible generators with cheap,
+// bit-identical restarts. The RF block models restart their fixed-seed noise
+// streams on every packet and the bench re-seeds its stage streams per
+// packet; math/rand's Seed regenerates a 607-entry lagged-Fibonacci register
+// from scratch (~tens of microseconds), which dominated the per-packet reset
+// cost. Rand marks and rewinds its state by copy, and the arithmetic reseed
+// (NewReseedingRand, Rand.Seed) computes a seeded register directly; both
+// produce exactly the streams of rand.New(rand.NewSource(seed)).
 package randutil
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
+	"unsafe"
 )
+
+// rngLen is math/rand's feedback register length (stable since Go 1).
+const rngLen = 607
+
+// sourceState mirrors math/rand.rngSource. The layout is verified
+// field-by-field against the runtime type before any unsafe access
+// (sourceStateOf); on mismatch the reseed self-check and the snapshot cache
+// stay disabled.
+type sourceState struct {
+	tap  int
+	feed int
+	vec  [rngLen]int64
+}
+
+// sourceStateOf returns a direct view of rng's internal rngSource, or nil if
+// the runtime layout does not match sourceState exactly.
+func sourceStateOf(rng *rand.Rand) *sourceState {
+	if rng == nil {
+		return nil
+	}
+	srcField := reflect.ValueOf(rng).Elem().FieldByName("src")
+	if !srcField.IsValid() || srcField.Kind() != reflect.Interface || srcField.IsNil() {
+		return nil
+	}
+	ptr := srcField.Elem()
+	if ptr.Kind() != reflect.Pointer || ptr.IsNil() {
+		return nil
+	}
+	typ := ptr.Elem().Type()
+	// fibSource (this package's clone) shares the exact field layout and
+	// passes the same field-by-field verification below.
+	if (typ.Name() != "rngSource" && typ.Name() != "fibSource") || typ.Kind() != reflect.Struct {
+		return nil
+	}
+	want := reflect.TypeOf(sourceState{})
+	if typ.NumField() != want.NumField() || typ.Size() != want.Size() {
+		return nil
+	}
+	for i := 0; i < want.NumField(); i++ {
+		got, exp := typ.Field(i), want.Field(i)
+		if got.Name != exp.Name || got.Type != exp.Type || got.Offset != exp.Offset {
+			return nil
+		}
+	}
+	return (*sourceState)(unsafe.Pointer(ptr.Pointer()))
+}
 
 // fibSource is a drop-in replacement for math/rand's unexported rngSource:
 // the same additive lagged-Fibonacci generator over a 607-entry register,
-// stepping bit-identically, but constructed by copying a cached post-seeding
-// register snapshot instead of re-running the seeding procedure (which walks
-// the full register through a multiplicative generator and dominates
-// rand.NewSource at ~tens of microseconds). The field layout mirrors
-// sourceState exactly so Restarter's snapshot/restore path applies to it
-// unchanged.
+// stepping bit-identically, but seeded by the arithmetic reseed (or, when
+// its self-check failed, by copying a cached post-seeding snapshot) instead
+// of re-running the seeding procedure (which walks the full register
+// through a multiplicative generator and dominates rand.NewSource at ~tens
+// of microseconds). The field layout mirrors sourceState exactly.
 type fibSource struct {
 	tap  int
 	feed int
@@ -59,9 +114,9 @@ func (s *fibSource) Seed(seed int64) {
 	s.tap, s.feed, s.vec = st.tap, st.feed, st.vec
 }
 
-// seedSnapshots caches the post-seeding register per seed value. Entries are
-// immutable once stored and live for the process; at ~5 KB each, callers
-// should reserve NewRand for small fixed seed sets.
+// seedSnapshots caches the post-seeding register per seed value for
+// fibSource.Seed's fallback path. Entries are immutable once stored and live
+// for the process, at ~5 KB each.
 var seedSnapshots sync.Map // int64 -> *sourceState
 
 // snapshotFor returns the post-seeding generator state for seed, seeding a
@@ -78,18 +133,4 @@ func snapshotFor(seed int64) *sourceState {
 	cp := *src
 	v, _ := seedSnapshots.LoadOrStore(seed, &cp)
 	return v.(*sourceState)
-}
-
-// NewRand returns a generator seeded with seed whose every stream is
-// bit-identical to rand.New(rand.NewSource(seed)). The post-seeding register
-// is cached per seed value, so repeated constructions with the same seed —
-// the RF blocks' fixed noise seeds, rebuilt for every sweep point — cost a
-// register copy instead of math/rand's full seeding pass. Each distinct seed
-// pins a ~5 KB snapshot for the process lifetime, so thread per-run derived
-// seeds through rand.NewSource directly and keep NewRand for fixed seeds.
-func NewRand(seed int64) *rand.Rand {
-	if st := snapshotFor(seed); st != nil {
-		return rand.New(&fibSource{tap: st.tap, feed: st.feed, vec: st.vec})
-	}
-	return rand.New(rand.NewSource(seed))
 }

@@ -63,7 +63,7 @@ func TestRandDirectSeedMidStream(t *testing.T) {
 }
 
 // TestRandDirectMarkRewind pins the restart contract: Rewind reproduces the
-// draw stream from the marked state, like Restarter.Restart on *rand.Rand.
+// draw stream from the marked state.
 func TestRandDirectMarkRewind(t *testing.T) {
 	rng := NewRandDirect(17)
 	want := make([]uint64, 200)
@@ -89,15 +89,28 @@ func TestRandDirectMarkRewind(t *testing.T) {
 	}
 }
 
-// TestRandDirectFillNormPairs pins the batched materializer against the
-// package-level function on a *rand.Rand with the same seed.
+// TestRandRewindAllocFree pins the zero-allocation per-packet restart.
+func TestRandRewindAllocFree(t *testing.T) {
+	rng := NewRandDirect(7)
+	if n := testing.AllocsPerRun(100, func() {
+		rng.NormFloat64()
+		rng.Rewind()
+	}); n != 0 {
+		t.Fatalf("Rewind allocates %v objects per run, want 0", n)
+	}
+}
+
+// TestRandDirectFillNormPairs pins the batched materializer against
+// per-sample NormFloat64 pairs from a *rand.Rand with the same seed.
 func TestRandDirectFillNormPairs(t *testing.T) {
 	fast := NewRandDirect(29)
 	ref := rand.New(rand.NewSource(29))
 	re, im := make([]float64, 333), make([]float64, 333)
 	wre, wim := make([]float64, 333), make([]float64, 333)
 	fast.FillNormPairs(re, im)
-	FillNormPairs(ref, wre, wim)
+	for i := range wre {
+		wre[i], wim[i] = ref.NormFloat64(), ref.NormFloat64()
+	}
 	for i := range re {
 		if math.Float64bits(re[i]) != math.Float64bits(wre[i]) ||
 			math.Float64bits(im[i]) != math.Float64bits(wim[i]) {

@@ -53,7 +53,7 @@ func TestReseedMatchesMathRandState(t *testing.T) {
 // derived-style seeds mid-stream — the per-packet usage — and pins the
 // resulting draw streams against reference generators.
 func TestFibSourceSeedStreamEquality(t *testing.T) {
-	fast := NewRand(0)
+	fast := NewReseedingRand(0)
 	for _, seed := range reseedTestSeeds {
 		// Draw a little first so the reseed has state to overwrite.
 		fast.Int63()
@@ -85,7 +85,7 @@ func TestNewReseedingRandMatchesMathRand(t *testing.T) {
 }
 
 func BenchmarkFibSourceReseed(b *testing.B) {
-	rng := NewRand(0)
+	rng := NewReseedingRand(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rng.Seed(int64(i)*2654435761 + 12345)

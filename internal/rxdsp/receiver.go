@@ -199,11 +199,6 @@ type PacketResult struct {
 	// EqualizedCarriers holds the 48 equalized data carriers of each DATA
 	// symbol (for EVM and constellation analysis).
 	EqualizedCarriers [][]complex128
-	// CSI holds the matching channel-state weights when the DATA decode was
-	// deferred (Receiver.DeferDataDecode) and CSI weighting is enabled; nil
-	// otherwise. It aliases receiver scratch and is only valid until the
-	// next Receive call.
-	CSI [][]float64
 	// LinkSNRdB estimates the receive SNR from the two long training
 	// symbols (a link-quality indicator).
 	LinkSNRdB float64
@@ -241,30 +236,16 @@ type Receiver struct {
 	// only valid until the next Receive call — opt in only when each packet
 	// is fully consumed before the next is received.
 	ReuseBuffers bool
-	// DeferDataDecode makes Receive stop after equalizing the DATA field:
-	// the result carries the equalized carriers, CSI weights and SIGNAL
-	// field but a nil PSDU, to be completed by DecodeDeferredBatch (which
-	// pushes many packets through one lock-step Viterbi pass). Ignored with
-	// HardDecisions (the batched decode path is soft-only).
-	DeferDataDecode bool
 
 	// Reusable scratch; see Reset.
-	notch    *dsp.IIR
-	buf      []complex128
-	ce       chanEstimator
-	est      ChannelEstimate
-	q        eqScratch
-	sigData  []complex128
-	sigCSI   []float64
-	csiBack  []float64
-	csis     [][]float64
-	carrBack []complex128
-	carriers [][]complex128
-	specBack []complex128
-	specs    [][]complex128
-	symViews [][]complex128
-	res      PacketResult
-	dec      *phy.PacketDecoder
+	notch   *dsp.IIR
+	buf     []complex128
+	ce      chanEstimator
+	est     ChannelEstimate
+	sigData []complex128
+	sigCSI  []float64
+	data    dataField
+	res     PacketResult
 }
 
 // NewReceiver returns a receiver with default settings.
@@ -283,31 +264,106 @@ func (r *Receiver) Reset() {
 // sample rate (40 kHz at 20 MHz — far below the first subcarrier).
 const dcNotchCutoff = 0.002
 
-// growSpecSlices sizes the symbol-major scratch: nSym per-symbol spectrum
-// buffers carved out of one backing store, plus the matching symbol-view
-// slice header scratch.
-func growSpecSlices(back *[]complex128, specs, views *[][]complex128, nSym int) ([][]complex128, [][]complex128) {
-	if cap(*back) < nSym*phy.FFTSize {
-		*back = make([]complex128, nSym*phy.FFTSize)
-	}
-	if cap(*specs) < nSym {
-		*specs = make([][]complex128, nSym)
-	}
-	if cap(*views) < nSym {
-		*views = make([][]complex128, nSym)
-	}
-	b := (*back)[:nSym*phy.FFTSize]
-	s := (*specs)[:nSym]
-	for n := 0; n < nSym; n++ {
-		s[n] = b[n*phy.FFTSize : (n+1)*phy.FFTSize]
-	}
-	return s, (*views)[:nSym]
+// dataField is the DATA-field half of the receive chain that Receiver and
+// IdealReceiver share: the equalizer, the symbol-major demodulation scratch,
+// the equalized-carrier and CSI stores and the bit-level decoder, all reused
+// across packets.
+type dataField struct {
+	q        eqScratch
+	csiBack  []float64
+	csis     [][]float64
+	carrBack []complex128
+	carriers [][]complex128
+	specBack []complex128
+	specs    [][]complex128
+	symViews [][]complex128
+	dec      *phy.PacketDecoder
 }
 
-// growSpecs returns the receiver's symbol-major spectrum and symbol-view
-// scratch sized for nSym DATA symbols.
-func (r *Receiver) growSpecs(nSym int) ([][]complex128, [][]complex128) {
-	return growSpecSlices(&r.specBack, &r.specs, &r.symViews, nSym)
+// decoder returns the bit-level decoder, built on first use.
+func (f *dataField) decoder() *phy.PacketDecoder {
+	if f.dec == nil {
+		f.dec = phy.NewPacketDecoder()
+	}
+	return f.dec
+}
+
+// receive demodulates, equalizes and decodes the DATA field that sf
+// announces, starting at dataStart within work, and returns the equalized
+// carriers, the PSDU and the index just past the field. mmseReg is
+// equalizeSpec's regularization term; weightCSI selects CSI-weighted soft
+// metrics and hard the hard-decision decode. The equalized carriers escape
+// into the caller's PacketResult, so their backing is allocated fresh per
+// packet unless reuse is set; the CSI weights stay internal and always reuse
+// the scratch.
+func (f *dataField) receive(work []complex128, dataStart int, sf phy.SignalField, est *ChannelEstimate, mmseReg float64, reuse, weightCSI, hard bool) ([][]complex128, []byte, int, error) {
+	nBits := phy.ServiceBits + sf.Length*8 + phy.TailBits
+	nSym := (nBits + sf.Mode.NDBPS() - 1) / sf.Mode.NDBPS()
+	end := dataStart + nSym*phy.SymbolLen
+	if end > len(work) {
+		return nil, nil, 0, fmt.Errorf("rxdsp: truncated DATA field (%d symbols announced)", nSym)
+	}
+	var carrBack []complex128
+	var carriers [][]complex128
+	if reuse {
+		if cap(f.carrBack) < nSym*phy.NumDataCarriers {
+			f.carrBack = make([]complex128, nSym*phy.NumDataCarriers)
+		}
+		if cap(f.carriers) < nSym {
+			f.carriers = make([][]complex128, nSym)
+		}
+		carrBack = f.carrBack[:nSym*phy.NumDataCarriers]
+		carriers = f.carriers[:nSym]
+	} else {
+		carrBack = make([]complex128, nSym*phy.NumDataCarriers)
+		carriers = make([][]complex128, nSym)
+	}
+	if cap(f.csiBack) < nSym*phy.NumDataCarriers {
+		f.csiBack = make([]float64, nSym*phy.NumDataCarriers)
+	}
+	if cap(f.csis) < nSym {
+		f.csis = make([][]float64, nSym)
+	}
+	csis := f.csis[:nSym]
+	// Slice every DATA symbol, demodulate the whole field through the
+	// batched four-lane forward transform, then equalize each spectrum.
+	if cap(f.specBack) < nSym*phy.FFTSize {
+		f.specBack = make([]complex128, nSym*phy.FFTSize)
+	}
+	if cap(f.specs) < nSym {
+		f.specs = make([][]complex128, nSym)
+		f.symViews = make([][]complex128, nSym)
+	}
+	specs, symViews := f.specs[:nSym], f.symViews[:nSym]
+	for n := 0; n < nSym; n++ {
+		specs[n] = f.specBack[n*phy.FFTSize : (n+1)*phy.FFTSize]
+		s := dataStart + n*phy.SymbolLen
+		symViews[n] = work[s : s+phy.SymbolLen]
+	}
+	if err := phy.DemodulateSymbols(specs, symViews); err != nil {
+		return nil, nil, 0, err
+	}
+	for n := 0; n < nSym; n++ {
+		carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
+		csis[n] = f.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
+		if err := f.q.equalizeSpec(carriers[n], csis[n], specs[n], est, n+1, mmseReg); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	if !weightCSI {
+		csis = nil
+	}
+	var psdu []byte
+	var err error
+	if hard {
+		psdu, err = f.decoder().DecodeDataCarriersHard(carriers, nil, sf.Mode, sf.Length)
+	} else {
+		psdu, err = f.decoder().DecodeDataCarriers(carriers, csis, sf.Mode, sf.Length)
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return carriers, psdu, end, nil
 }
 
 // Receive synchronizes to and decodes the first packet at or after index
@@ -389,84 +445,16 @@ func (r *Receiver) Receive(x []complex128, from int) (*PacketResult, error) {
 		r.sigData = make([]complex128, phy.NumDataCarriers)
 		r.sigCSI = make([]float64, phy.NumDataCarriers)
 	}
-	if err := r.q.equalize(r.sigData, r.sigCSI, work[sigStart:sigStart+phy.SymbolLen], est, 0, mmseReg); err != nil {
+	if err := r.data.q.equalize(r.sigData, r.sigCSI, work[sigStart:sigStart+phy.SymbolLen], est, 0, mmseReg); err != nil {
 		return nil, err
 	}
-	if r.dec == nil {
-		r.dec = phy.NewPacketDecoder()
-	}
-	sf, err := r.dec.DecodeSignal(r.sigData)
+	sf, err := r.data.decoder().DecodeSignal(r.sigData)
 	if err != nil {
 		return nil, fmt.Errorf("rxdsp: SIGNAL decode: %w", err)
 	}
 
-	nBits := phy.ServiceBits + sf.Length*8 + phy.TailBits
-	nSym := (nBits + sf.Mode.NDBPS() - 1) / sf.Mode.NDBPS()
 	dataStart := sigStart + phy.SymbolLen
-	if dataStart+nSym*phy.SymbolLen > len(work) {
-		return nil, fmt.Errorf("rxdsp: truncated DATA field (%d symbols announced)", nSym)
-	}
-
-	// The equalized carriers escape into the PacketResult, so their backing
-	// is allocated fresh per packet unless the caller opted into
-	// ReuseBuffers; the CSI weights stay internal and always reuse the
-	// receiver's scratch.
-	var carrBack []complex128
-	var carriers [][]complex128
-	if r.ReuseBuffers {
-		if cap(r.carrBack) < nSym*phy.NumDataCarriers {
-			r.carrBack = make([]complex128, nSym*phy.NumDataCarriers)
-		}
-		if cap(r.carriers) < nSym {
-			r.carriers = make([][]complex128, nSym)
-		}
-		carrBack = r.carrBack[:nSym*phy.NumDataCarriers]
-		carriers = r.carriers[:nSym]
-	} else {
-		carrBack = make([]complex128, nSym*phy.NumDataCarriers)
-		carriers = make([][]complex128, nSym)
-	}
-	if cap(r.csiBack) < nSym*phy.NumDataCarriers {
-		r.csiBack = make([]float64, nSym*phy.NumDataCarriers)
-	}
-	if cap(r.csis) < nSym {
-		r.csis = make([][]float64, nSym)
-	}
-	csis := r.csis[:nSym]
-	// Slice every DATA symbol, demodulate the whole field through the
-	// batched four-lane forward transform, then equalize each spectrum.
-	specs, symViews := r.growSpecs(nSym)
-	for n := 0; n < nSym; n++ {
-		s := dataStart + n*phy.SymbolLen
-		symViews[n] = work[s : s+phy.SymbolLen]
-	}
-	if err := phy.DemodulateSymbols(specs, symViews); err != nil {
-		return nil, err
-	}
-	for n := 0; n < nSym; n++ {
-		carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-		csis[n] = r.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-		if err := r.q.equalizeSpec(carriers[n], csis[n], specs[n], est, n+1, mmseReg); err != nil {
-			return nil, err
-		}
-	}
-	var csiArg [][]float64
-	if !r.DisableCSI {
-		csiArg = csis
-	}
-	var psdu []byte
-	var deferredCSI [][]float64
-	switch {
-	case r.HardDecisions:
-		psdu, err = r.dec.DecodeDataCarriersHard(carriers, nil, sf.Mode, sf.Length)
-	case r.DeferDataDecode:
-		// The bit-level decode happens later, across packets, in
-		// DecodeDeferredBatch; hand it the CSI weights alongside the
-		// carriers.
-		deferredCSI = csiArg
-	default:
-		psdu, err = r.dec.DecodeDataCarriers(carriers, csiArg, sf.Mode, sf.Length)
-	}
+	carriers, psdu, end, err := r.data.receive(work, dataStart, sf, est, mmseReg, r.ReuseBuffers, !r.DisableCSI, r.HardDecisions)
 	if err != nil {
 		return nil, err
 	}
@@ -481,9 +469,8 @@ func (r *Receiver) Receive(x []complex128, from int) (*PacketResult, error) {
 		CFO:               d.CoarseCFO + fine,
 		T1Index:           d.StartIndex + t1,
 		EqualizedCarriers: carriers,
-		CSI:               deferredCSI,
 		LinkSNRdB:         linkSNR,
-		EndIndex:          d.StartIndex + dataStart + nSym*phy.SymbolLen,
+		EndIndex:          d.StartIndex + end,
 	}
 	return out, nil
 }
@@ -503,24 +490,10 @@ type IdealReceiver struct {
 	// valid until the next Receive call.
 	ReuseBuffers bool
 
-	ce       chanEstimator
-	est      ChannelEstimate
-	q        eqScratch
-	csiBack  []float64
-	csis     [][]float64
-	carrBack []complex128
-	carriers [][]complex128
-	specBack []complex128
-	specs    [][]complex128
-	symViews [][]complex128
-	res      PacketResult
-	dec      *phy.PacketDecoder
-}
-
-// growSpecs returns the receiver's symbol-major spectrum and symbol-view
-// scratch sized for nSym DATA symbols.
-func (r *IdealReceiver) growSpecs(nSym int) ([][]complex128, [][]complex128) {
-	return growSpecSlices(&r.specBack, &r.specs, &r.symViews, nSym)
+	ce   chanEstimator
+	est  ChannelEstimate
+	data dataField
+	res  PacketResult
 }
 
 // Receive decodes the frame whose short preamble begins exactly at start.
@@ -541,56 +514,10 @@ func (r *IdealReceiver) Receive(x []complex128, start int) (*PacketResult, error
 	if err := r.ce.estimateInto(&r.est, work, t1); err != nil {
 		return nil, err
 	}
-	est := &r.est
-	nBits := phy.ServiceBits + r.PSDULen*8 + phy.TailBits
-	nSym := (nBits + r.Mode.NDBPS() - 1) / r.Mode.NDBPS()
-	dataStart := t1 + 128 + phy.SymbolLen
-	if dataStart+nSym*phy.SymbolLen > len(work) {
-		return nil, fmt.Errorf("rxdsp: truncated DATA field")
-	}
-	var carrBack []complex128
-	var carriers [][]complex128
-	if r.ReuseBuffers {
-		if cap(r.carrBack) < nSym*phy.NumDataCarriers {
-			r.carrBack = make([]complex128, nSym*phy.NumDataCarriers)
-		}
-		if cap(r.carriers) < nSym {
-			r.carriers = make([][]complex128, nSym)
-		}
-		carrBack = r.carrBack[:nSym*phy.NumDataCarriers]
-		carriers = r.carriers[:nSym]
-	} else {
-		carrBack = make([]complex128, nSym*phy.NumDataCarriers)
-		carriers = make([][]complex128, nSym)
-	}
-	if cap(r.csiBack) < nSym*phy.NumDataCarriers {
-		r.csiBack = make([]float64, nSym*phy.NumDataCarriers)
-	}
-	if cap(r.csis) < nSym {
-		r.csis = make([][]float64, nSym)
-	}
-	csis := r.csis[:nSym]
-	// Batched demodulation of the whole DATA field, then per-spectrum
-	// equalization.
-	specs, symViews := r.growSpecs(nSym)
-	for n := 0; n < nSym; n++ {
-		s := dataStart + n*phy.SymbolLen
-		symViews[n] = work[s : s+phy.SymbolLen]
-	}
-	if err := phy.DemodulateSymbols(specs, symViews); err != nil {
-		return nil, err
-	}
-	for n := 0; n < nSym; n++ {
-		carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-		csis[n] = r.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-		if err := r.q.equalizeSpec(carriers[n], csis[n], specs[n], est, n+1, 0); err != nil {
-			return nil, err
-		}
-	}
-	if r.dec == nil {
-		r.dec = phy.NewPacketDecoder()
-	}
-	psdu, err := r.dec.DecodeDataCarriers(carriers, csis, r.Mode, r.PSDULen)
+	// The genie knows the SIGNAL field, so the DATA field starts right after
+	// the SIGNAL symbol that follows the long preamble.
+	sf := phy.SignalField{Mode: r.Mode, Length: r.PSDULen}
+	carriers, psdu, end, err := r.data.receive(work, t1+128+phy.SymbolLen, sf, &r.est, 0, r.ReuseBuffers, true, false)
 	if err != nil {
 		return nil, err
 	}
@@ -600,10 +527,10 @@ func (r *IdealReceiver) Receive(x []complex128, start int) (*PacketResult, error
 	}
 	*out = PacketResult{
 		PSDU:              psdu,
-		Signal:            phy.SignalField{Mode: r.Mode, Length: r.PSDULen},
+		Signal:            sf,
 		T1Index:           start + t1,
 		EqualizedCarriers: carriers,
-		EndIndex:          start + dataStart + nSym*phy.SymbolLen,
+		EndIndex:          start + end,
 	}
 	return out, nil
 }

@@ -89,15 +89,15 @@ check_coverage ./internal/lint 80
 check_coverage ./internal/kernels 85
 
 # Batch≡sequential equivalence suite. Every batched kernel and every layer
-# above it (RF front end, Viterbi, DATA-field decode, full bench) carries a
-# differential test pinning batch lane l bit-identical to the sequential
-# path. The `go test -list` guard makes a silent skip impossible: if a
+# above it (IIR cascade, RF front end, noise draws, sweep, full bench)
+# carries a differential test pinning batch lane l bit-identical to the
+# sequential path. The `go test -list` guard makes a silent skip impossible: if a
 # build-tag or rename ever removes the tests from the compiled set, the gate
 # fails loudly instead of passing on an empty run.
 echo "==> batch-equivalence differential suite"
-batch_pat='Batch.*(Matches|Invariant)|Matches.*Batch|DeferredBatch|DemapSoftSeparable|SweepBatch|FillNormPairsMatches'
+batch_pat='Batch.*(Matches|Invariant)|Matches.*Batch|DemapSoftSeparable|SweepBatch|FillNormPairsMatches'
 for pkg in ./internal/kernels ./internal/dsp ./internal/randutil ./internal/rf \
-           ./internal/phy ./internal/phy/viterbi ./internal/rxdsp ./internal/sim ./internal/core; do
+           ./internal/phy ./internal/sim ./internal/core; do
     n="$(go test -run '^$' -list "$batch_pat" "$pkg" | grep -c '^Test' || true)"
     if [ "$n" -eq 0 ]; then
         echo "FAIL: $pkg lists no batch-equivalence tests matching '$batch_pat' (silent skip)" >&2
@@ -172,7 +172,7 @@ trap - EXIT
 # re-run natively here), and the short benchmark run smoke-tests every
 # scenario scripts/bench.sh tracks in BENCH_*.json without timing anything.
 echo "==> allocation gates"
-go test -run 'AllocFree|TestFIRProcessSteadyStateAllocs|TestRestartAllocs' -count=1 \
+go test -run 'AllocFree|TestFIRProcessSteadyStateAllocs' -count=1 \
     ./internal/phy ./internal/phy/viterbi ./internal/dsp ./internal/randutil
 go test -run 'TestPacketRunAllocBounded' -count=1 ./internal/core
 go test -run 'TestSweepExecutorBuffersPooled|TestSweepScratchPooledAcrossConcurrentExecutes' -count=1 ./internal/sim
